@@ -1,10 +1,14 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 validation/usage error, 2 runtime or numeric
-error, 3 study assertion failure.  Errors go to stderr with the
-machine-parsable prefix ``difflim: error[<kind>]:``.  Every primary output
-file gets a ``<name>.meta.json`` sidecar holding the resolved config;
-timestamps live only in the sidecar so reruns are byte-identical.
+Exit codes: 0 success, 1 validation/usage error (``error[validation]``),
+2 runtime or numeric error (``error[runtime]``) or a malformed input file
+(``error[data]``: a missing CSV column, an unreadable cell, or counts no
+feasible path produces), 3 study assertion failure (``error[study]``).
+Errors go to stderr with the machine-parsable prefix
+``difflim: error[<kind>]:``.  Every primary output file gets a
+``<name>.meta.json`` sidecar holding the resolved config and the command's
+``wall_time_s``; timestamps live only in the sidecar so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .core import (
+    DataCorruptionError,
     ModelParams,
     ObservationSet,
     Regime,
@@ -251,6 +256,7 @@ def cmd_fluid(args) -> int:
 
 
 def cmd_fisher(args) -> int:
+    t0 = time.perf_counter()
     params = _params_from_args(args)
     if args.model == "bass":
         report = fisher_bass(params.n, args.i0, args.max_jumps)
@@ -266,11 +272,12 @@ def cmd_fisher(args) -> int:
         obj = report.to_json_dict()
         obj["cr_floor"] = floor
         _emit_json(obj, args.out)
-        _write_meta(args.out, args)
+        _write_meta(args.out, args, {"wall_time_s": time.perf_counter() - t0})
     return EXIT_OK
 
 
 def cmd_estimate(args) -> int:
+    t0 = time.perf_counter()
     ledger = read_ledger_csv(args.input)
     obs = ObservationSet.from_ledger(ledger, args.max_jumps)
     if args.model == "sir":
@@ -283,11 +290,12 @@ def cmd_estimate(args) -> int:
         report = estimate_bass(obs, n_known=n_known, c1=args.c1)
     _emit_json(report.to_json_dict(), args.out)
     if args.out:
-        _write_meta(args.out, args)
+        _write_meta(args.out, args, {"wall_time_s": time.perf_counter() - t0})
     return EXIT_OK
 
 
 def cmd_peak(args) -> int:
+    t0 = time.perf_counter()
     if (args.p is None) == (args.alpha is None):
         raise ValidationError("specify exactly one of --p or --alpha")
     rows = []
@@ -300,13 +308,14 @@ def cmd_peak(args) -> int:
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)
-        _write_meta(args.out, args)
+        _write_meta(args.out, args, {"wall_time_s": time.perf_counter() - t0})
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
 def cmd_fit(args) -> int:
+    t0 = time.perf_counter()
     collection = read_counts_csv(args.input)
     if not collection:
         raise ValidationError("no instances in counts file")
@@ -320,16 +329,17 @@ def cmd_fit(args) -> int:
     result = fit_mle(series, gamma_known=args.gamma, n_max=args.n_max, cfg=cfg)
     _emit_json(result.to_json_dict(), args.out)
     if args.out:
-        _write_meta(args.out, args)
+        _write_meta(args.out, args, {"wall_time_s": time.perf_counter() - t0})
     return EXIT_OK
 
 
 def cmd_peaks(args) -> int:
+    t0 = time.perf_counter()
     collection = read_counts_csv(args.input)
     ids = sorted(peaked_set(collection, args.gamma1, args.t))
     _emit_json({"t": args.t, "gamma1": args.gamma1, "peaked": ids}, args.out)
     if args.out:
-        _write_meta(args.out, args)
+        _write_meta(args.out, args, {"wall_time_s": time.perf_counter() - t0})
     return EXIT_OK
 
 
@@ -418,6 +428,9 @@ def dispatch(argv=None) -> int:
     except ValidationError as exc:
         print(f"difflim: error[validation]: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except DataCorruptionError as exc:
+        print(f"difflim: error[data]: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except (ArithmeticError, ValueError, OSError) as exc:
         print(f"difflim: error[runtime]: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -33,7 +33,8 @@ class ValidationError(ValueError):
 
 
 class DataCorruptionError(ValueError):
-    """Raised when observed counts are inconsistent with any feasible path."""
+    """Raised when an input file is malformed or its observed counts are
+    inconsistent with any feasible path."""
 
 
 @dataclass(frozen=True)
@@ -310,6 +311,25 @@ def _write_ledger_rows(w, ledger: JumpLedger, replicate: Optional[int]) -> None:
         )
 
 
+def _require_columns(path, fieldnames, required) -> None:
+    """Reject a CSV whose header lacks any of the ``required`` columns."""
+    for column in required:
+        if column not in (fieldnames or ()):
+            raise DataCorruptionError(f"{path}: missing column {column!r} in header {fieldnames}")
+
+
+def _parse_cell(path, line: int, row: dict, column: str, kind=int):
+    """``kind(row[column])``; a bad or missing cell raises DataCorruptionError
+    naming the file, the line and the column."""
+    value = row[column]
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise DataCorruptionError(
+            f"{path}: line {line}, column {column!r}: cannot read {value!r} as {kind.__name__}"
+        ) from None
+
+
 def read_ledger_csv(path) -> JumpLedger:
     """Rebuild a ledger from the CSV schema.
 
@@ -318,25 +338,27 @@ def read_ledger_csv(path) -> JumpLedger:
     """
     with open(path, newline="") as fh:
         rdr = csv.DictReader(fh)
-        rows = list(rdr)
+        _require_columns(path, rdr.fieldnames, LEDGER_FIELDS)
+        rows = [(rdr.line_num, row) for row in rdr]
     if not rows:
         raise DataCorruptionError(f"{path}: empty ledger file")
-    first = rows[0]
-    s1, i1, r1 = int(first["S"]), int(first["I"]), int(first["R"])
+    line1, first = rows[0]
+    s1, i1, r1 = (_parse_cell(path, line1, first, col) for col in "SIR")
     kind1 = first["kind"]
     if kind1 == "I":
         i0, r0, s0 = i1 - 1, r1, s1 + 1
     elif kind1 == "R":
         i0, r0, s0 = i1 + 1, r1 - 1, s1
     else:
-        raise DataCorruptionError(f"{path}: first row is frozen, initial state unrecoverable")
+        raise DataCorruptionError(f"{path}: first row has kind {kind1!r}, initial state unrecoverable")
     n = s0 + i0 + r0
     entries: list[LedgerEntry] = []
     terminated_at = None
-    for row in rows:
-        st = DiffusionState(s=int(row["S"]), i=int(row["I"]), r=int(row["R"])).check(n)
-        if st.c != int(row["C"]):
-            raise DataCorruptionError(f"{path}: row {row['k']} has C != I + R")
+    for line, row in rows:
+        s, i, r, c = (_parse_cell(path, line, row, col) for col in "SIRC")
+        st = DiffusionState(s=s, i=i, r=r).check(n)
+        if st.c != c:
+            raise DataCorruptionError(f"{path}: line {line}, column 'C': {c} != I + R")
         if row["kind"] == "X":
             kind = None
             t = entries[-1].t if entries else 0.0
@@ -344,9 +366,9 @@ def read_ledger_csv(path) -> JumpLedger:
             if terminated_at is None:
                 terminated_at = len(entries)
         else:
-            kind = JumpKind(row["kind"])
-            t = float(row["t"])
-            ta = float(row["inter_arrival"])
+            kind = _parse_cell(path, line, row, "kind", JumpKind)
+            t = _parse_cell(path, line, row, "t", float)
+            ta = _parse_cell(path, line, row, "inter_arrival", float)
         entries.append(LedgerEntry(t=t, inter_arrival=ta, kind=kind, state_after=st))
     if terminated_at is None and entries:
         last = entries[-1].state_after

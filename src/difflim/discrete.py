@@ -14,10 +14,15 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import gammaln
 
-from .core import ModelParams, RngStream, ValidationError, validate_params
+from .core import (
+    ModelParams,
+    RngStream,
+    ValidationError,
+    _parse_cell,
+    _require_columns,
+    validate_params,
+)
 
 
 @dataclass(frozen=True)
@@ -114,6 +119,8 @@ def _rollout(series: CountSeries, n: float, gamma: float):
 
 def poisson_logpmf(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """log p(x; lam) with the conventions p(0; 0) = 1 and p(x>0; 0) = 0."""
+    from scipy.special import gammaln
+
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
     out = np.full(np.broadcast(x, lam).shape, -np.inf)
@@ -188,8 +195,11 @@ def fit_mle(
 
     Multi-start simplex descent with n log-parameterized; starts lie on a
     seeded log-grid over n in [c_total, n_max] crossed with beta values in
-    [0.01, beta_max].  Deterministic given cfg.seed.
+    [0.01, beta_max].  Deterministic given cfg.seed.  ``converged`` is the
+    optimizer's own flag for the returned (best) start.
     """
+    from scipy.optimize import minimize
+
     if series.delta_c.sum() <= 0:
         raise ValidationError("series has no positive counts")
     n_lo = max(series.c_total, 1.0)
@@ -259,7 +269,7 @@ def fit_mle(
         beta_hat=float(beta_hat),
         n_hat=float(math.exp(log_n_hat)),
         loglik=-float(best.fun),
-        converged=any(t["converged"] for t in trace),
+        converged=bool(best.success),
         bounds={"n_max": n_max, "a_max": cfg.a_max if cfg.fit_a else 0.0, "beta_max": cfg.beta_max},
         trace=trace,
         recoveries_imputed=imputed,
@@ -352,24 +362,27 @@ def write_counts_csv(collection: Sequence[CountSeries], path, initial_rows: bool
 def read_counts_csv(path) -> list[CountSeries]:
     with open(path, newline="") as fh:
         rdr = csv.DictReader(fh)
-        has_dr = rdr.fieldnames is not None and "delta_r" in rdr.fieldnames
+        _require_columns(path, rdr.fieldnames, ["instance_id", "t", "delta_c"])
+        has_dr = "delta_r" in rdr.fieldnames
         by_id: dict[str, list] = {}
         for row in rdr:
-            by_id.setdefault(row["instance_id"], []).append(row)
+            line = rdr.line_num
+            t = _parse_cell(path, line, row, "t")
+            dc = _parse_cell(path, line, row, "delta_c")
+            dr = _parse_cell(path, line, row, "delta_r") if has_dr and row["delta_r"] else None
+            by_id.setdefault(row["instance_id"], []).append((t, dc, dr))
     out = []
     for iid, rows in by_id.items():
-        rows.sort(key=lambda r: int(r["t"]))
+        rows.sort(key=lambda r: r[0])
         i_init = r_init = 0
-        if rows and int(rows[0]["t"]) == 0:
-            head = rows.pop(0)
-            i_init = int(head["delta_c"])
-            r_init = int(head["delta_r"]) if has_dr and head.get("delta_r") else 0
-        ts = [int(r["t"]) for r in rows]
+        if rows and rows[0][0] == 0:
+            _, i_init, r_init = rows.pop(0)
+            r_init = r_init or 0
+        ts = [r[0] for r in rows]
         if ts != list(range(1, len(ts) + 1)):
             raise ValidationError(f"instance {iid}: epochs must be contiguous from 1")
-        dc = np.array([int(r["delta_c"]) for r in rows], dtype=np.int64)
-        dr = None
-        if has_dr and all(r.get("delta_r") not in (None, "") for r in rows):
-            dr = np.array([int(r["delta_r"]) for r in rows], dtype=np.int64)
+        dc = np.array([r[1] for r in rows], dtype=np.int64)
+        drs = [r[2] for r in rows]
+        dr = np.array(drs, dtype=np.int64) if has_dr and None not in drs else None
         out.append(CountSeries(instance_id=iid, i_init=i_init, r_init=r_init, delta_c=dc, delta_r=dr))
     return out

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import ModelParams, ValidationError, validate_params
 
@@ -73,6 +72,8 @@ def integrate(
     tol > 0.  The returned grid is uniform with ``samples`` points; the
     dense interpolant is kept for marker refinement.
     """
+    from scipy.integrate import solve_ivp
+
     validate_params(params)
     n = params.n
     if abs(s0 + i0 + r0 - n) > 1e-9 * n:

@@ -1,6 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import difflim
 from difflim.cli import dispatch
+
+SRC = str(Path(difflim.__file__).resolve().parents[1])
 
 
 def run(argv):
@@ -110,6 +119,8 @@ def test_fisher_report_json(tmp_path):
     assert obj["regime"] == "sir"
     assert len(obj["per_k"]) == 30
     assert obj["mc_replicates"] == 500
+    meta = json.loads((tmp_path / "fisher.json.meta.json").read_text())
+    assert isinstance(meta["wall_time_s"], float)
 
 
 def test_estimate_round_trip(tmp_path):
@@ -153,14 +164,18 @@ def test_peak_requires_exactly_one_innovation_spec(capsys):
     assert run(["peak", "--N", "100", "--beta", "0.5", "--p", "0.1", "--alpha", "1.0"]) == 1
 
 
-def test_fit_and_peaks_round_trip(tmp_path):
+def _counts_csv(path):
     from difflim.core import ModelParams, Regime, RngStream
     from difflim.discrete import simulate_discrete, write_counts_csv
 
     params = ModelParams(n=10_000, beta=0.5, gamma=0.25, regime=Regime.SIR)
     series = simulate_discrete(params, 10, 0, 60, RngStream(seed=1), instance_id="r1")
-    counts = tmp_path / "counts.csv"
-    write_counts_csv([series], counts)
+    write_counts_csv([series], path)
+    return path
+
+
+def test_fit_and_peaks_round_trip(tmp_path):
+    counts = _counts_csv(tmp_path / "counts.csv")
 
     fit_out = tmp_path / "fit.json"
     code = run([
@@ -224,3 +239,102 @@ def test_help_lists_flags(capsys):
     for flag in ("--model", "--N", "--beta", "--gamma", "--p", "--i0", "--r0",
                  "--max-jumps", "--replicates", "--seed", "--threads", "--out"):
         assert flag in out
+
+
+def _dispatch_in_fresh_interpreter(argvs, cwd):
+    """Run ``dispatch`` on each argv in one new interpreter; return the exit
+    codes and the scipy modules loaded after import and after each command."""
+    script = (
+        "import json, sys\n"
+        "from difflim.cli import dispatch\n"
+        "def scipy_mods():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "report = [('import', 0, scipy_mods())]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    report.append((argv[0], dispatch(argv), scipy_mods()))\n"
+        "print(json.dumps(report))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        cwd=cwd, env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_commands_without_fits_or_ode_never_import_scipy(tmp_path):
+    counts = _counts_csv(tmp_path / "counts.csv")
+    argvs = [
+        ["--version"],
+        ["simulate", "--model", "sir", "--N", "1000", "--beta", "0.5", "--gamma", "0.25",
+         "--i0", "10", "--max-jumps", "100", "--seed", "1", "--out", "ledger.csv"],
+        ["fisher", "--model", "bass", "--N", "10000", "--i0", "1", "-m", "464"],
+        ["estimate", "--model", "sir", "--input", "ledger.csv", "--out", "est.json"],
+        ["peaks", "--input", str(counts), "--gamma1", "0.5", "--t", "60"],
+    ]
+    for name, code, scipy_mods in _dispatch_in_fresh_interpreter(argvs, tmp_path):
+        assert code == 0, name
+        assert scipy_mods == [], name
+
+
+def test_fluid_and_fit_import_scipy_where_used(tmp_path):
+    counts = _counts_csv(tmp_path / "counts.csv")
+    argvs = [
+        ["fluid", "--model", "sir", "--N", "10000", "--beta", "0.5", "--gamma", "0.25",
+         "--i0", "1", "--out", "traj.csv"],
+        ["fit", "--input", str(counts), "--gamma", "0.25", "--n-max", "1000000",
+         "--starts", "4", "--fix-a", "--out", "fit.json"],
+    ]
+    report = _dispatch_in_fresh_interpreter(argvs, tmp_path)
+    assert report[0][2] == []
+    for name, code, scipy_mods in report[1:]:
+        assert code == 0, name
+        assert scipy_mods, name
+    assert json.loads((tmp_path / "fit.json").read_text())["n_hat"] > 0
+
+
+def _ledger_csv(path):
+    assert run([
+        "simulate", "--model", "sir", "--N", "500", "--beta", "0.5", "--gamma", "0.25",
+        "--i0", "5", "--max-jumps", "20", "--seed", "3", "--out", str(path),
+    ]) == 0
+    return path
+
+
+def _drop_column(path, column):
+    lines = [line.split(",") for line in path.read_text().splitlines()]
+    j = lines[0].index(column)
+    path.write_text("\n".join(",".join(c for i, c in enumerate(row) if i != j) for row in lines) + "\n")
+
+
+def _set_cell(path, line_no, column, value):
+    lines = [line.split(",") for line in path.read_text().splitlines()]
+    lines[line_no - 1][lines[0].index(column)] = value
+    path.write_text("\n".join(",".join(row) for row in lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "make, edit, command, needle",
+    [
+        (_counts_csv, lambda p: _drop_column(p, "delta_c"),
+         ["fit", "--gamma", "0.25", "--n-max", "1e6"], "missing column 'delta_c'"),
+        (_counts_csv, lambda p: _drop_column(p, "delta_c"),
+         ["peaks", "--gamma1", "0.5", "--t", "60"], "missing column 'delta_c'"),
+        (_counts_csv, lambda p: _set_cell(p, 5, "delta_c", "2.5"),
+         ["peaks", "--gamma1", "0.5", "--t", "60"], "line 5, column 'delta_c'"),
+        (_ledger_csv, lambda p: _drop_column(p, "S"),
+         ["estimate", "--model", "sir"], "missing column 'S'"),
+        (_ledger_csv, lambda p: _set_cell(p, 3, "I", "x"),
+         ["estimate", "--model", "sir"], "line 3, column 'I'"),
+    ],
+    ids=["fit-no-delta_c", "peaks-no-delta_c", "peaks-float-cell", "estimate-no-S", "estimate-bad-cell"],
+)
+def test_malformed_csv_is_a_data_error(tmp_path, capsys, make, edit, command, needle):
+    path = make(tmp_path / "input.csv")
+    edit(path)
+    capsys.readouterr()
+    assert run(command + ["--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "difflim: error[data]:" in err
+    assert needle in err and str(path) in err
+    assert "Traceback" not in err
