@@ -272,7 +272,7 @@ def cmd_fisher(args) -> int:
         obj = report.to_json_dict()
         obj["cr_floor"] = floor
         _emit_json(obj, args.out)
-        _write_meta(args.out, args, {"wall_time_s": time.perf_counter() - t0})
+        _write_meta(args.out, args, {"wall_time_s": time.perf_counter() - t0, **report.work})
     return EXIT_OK
 
 

@@ -334,11 +334,17 @@ def read_ledger_csv(path) -> JumpLedger:
     """Rebuild a ledger from the CSV schema.
 
     The initial split (i0, r0) is recovered by inverting the first jump;
-    files with only frozen rows are rejected.
+    files with only frozen rows are rejected, and so are batch files (a
+    leading ``replicate`` column), which hold several ledgers.
     """
     with open(path, newline="") as fh:
         rdr = csv.DictReader(fh)
         _require_columns(path, rdr.fieldnames, LEDGER_FIELDS)
+        if "replicate" in rdr.fieldnames:
+            raise DataCorruptionError(
+                f"{path}: has a 'replicate' column, so it is a batch of ledgers; "
+                "read one replicate (simulate --split-files writes one file each)"
+            )
         rows = [(rdr.line_num, row) for row in rdr]
     if not rows:
         raise DataCorruptionError(f"{path}: empty ledger file")
@@ -356,7 +362,10 @@ def read_ledger_csv(path) -> JumpLedger:
     terminated_at = None
     for line, row in rows:
         s, i, r, c = (_parse_cell(path, line, row, col) for col in "SIRC")
-        st = DiffusionState(s=s, i=i, r=r).check(n)
+        try:
+            st = DiffusionState(s=s, i=i, r=r).check(n)
+        except ValidationError as exc:
+            raise DataCorruptionError(f"{path}: line {line}: {exc}") from None
         if st.c != c:
             raise DataCorruptionError(f"{path}: line {line}, column 'C': {c} != I + R")
         if row["kind"] == "X":

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
+    DataCorruptionError,
     ModelParams,
     RngStream,
     ValidationError,
@@ -370,17 +371,20 @@ def read_counts_csv(path) -> list[CountSeries]:
             t = _parse_cell(path, line, row, "t")
             dc = _parse_cell(path, line, row, "delta_c")
             dr = _parse_cell(path, line, row, "delta_r") if has_dr and row["delta_r"] else None
-            by_id.setdefault(row["instance_id"], []).append((t, dc, dr))
+            by_id.setdefault(row["instance_id"], []).append((t, dc, dr, line))
     out = []
     for iid, rows in by_id.items():
         rows.sort(key=lambda r: r[0])
         i_init = r_init = 0
         if rows and rows[0][0] == 0:
-            _, i_init, r_init = rows.pop(0)
+            _, i_init, r_init, _ = rows.pop(0)
             r_init = r_init or 0
-        ts = [r[0] for r in rows]
-        if ts != list(range(1, len(ts) + 1)):
-            raise ValidationError(f"instance {iid}: epochs must be contiguous from 1")
+        for expected, (t, _, _, line) in enumerate(rows, start=1):
+            if t != expected:
+                raise DataCorruptionError(
+                    f"{path}: line {line}, instance {iid}: epoch t={t} where t={expected} "
+                    "was expected (epochs must be contiguous from 1)"
+                )
         dc = np.array([r[1] for r in rows], dtype=np.int64)
         drs = [r[2] for r in rows]
         dr = np.array(drs, dtype=np.int64) if has_dr and None not in drs else None

@@ -19,6 +19,7 @@ from . import __version__
 from .core import ModelParams, Regime, RngStream, ValidationError
 from .estimate import bass_time_ratio, bass_peak_indices, rate_band, recovery_band
 from .fisher import (
+    MC_CHUNK,
     compute_survival_threshold,
     cramer_rao_rel_error,
     fisher_bass,
@@ -151,6 +152,8 @@ def _m_for(n: float, rule) -> int:
 
 # ---------------------------------------------------------------------------
 
+FISHER_STREAM_SPACING = 1000
+
 
 def fisher_scaling_study(config: StudyConfig) -> StudyResult:
     """J * n^4 / m^3 across a population grid, exact for the pure-adoption
@@ -159,6 +162,14 @@ def fisher_scaling_study(config: StudyConfig) -> StudyResult:
     regime = g.get("regime", "bass")
     beta = g.get("beta", 0.5)
     gamma = g.get("gamma", 0.25)
+    # Grid point idx uses streams FISHER_STREAM_SPACING*idx + chunk; more
+    # chunks than that would reuse the next point's streams.
+    chunks = math.ceil(config.replicates / MC_CHUNK)
+    if regime != "bass" and chunks > FISHER_STREAM_SPACING:
+        raise ValidationError(
+            f"{config.replicates} replicates need {chunks} Monte-Carlo chunks, more than the "
+            f"{FISHER_STREAM_SPACING} streams each grid point owns"
+        )
     rows = []
     ratios = []
     for idx, n in enumerate(g["ns"]):
@@ -173,7 +184,7 @@ def fisher_scaling_study(config: StudyConfig) -> StudyResult:
             params = ModelParams(n=n, beta=beta, gamma=gamma, regime=Regime.SIR)
             rep = fisher_sir_mc(
                 params, i0, g.get("r0", 0), m, config.replicates,
-                RngStream(seed=config.seed, stream_id=1000 * idx),
+                RngStream(seed=config.seed, stream_id=FISHER_STREAM_SPACING * idx),
             )
             stderr = rep.mc_stderr
             ok = stderr < 0.1 * rep.total

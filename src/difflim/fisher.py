@@ -21,13 +21,17 @@ a Bernoulli leg beta gamma C^2 / ((n-C) n (beta (n-C) + gamma n)^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .core import ModelParams, RngStream, ValidationError, validate_params
 from .simulate import simulate_paths
+
+# Replicates per lockstep chunk in fisher_sir_mc; chunk c uses stream
+# rng.substream(c).
+MC_CHUNK = 4096
 
 
 @dataclass
@@ -43,6 +47,9 @@ class FisherReport:
     survival: Optional[np.ndarray] = None
     mc_replicates: Optional[int] = None
     mc_stderr: Optional[float] = None
+    # Work counters of a Monte-Carlo evaluation (path_steps, chunks,
+    # rng_streams); run metadata, so not part of to_json_dict.
+    work: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -110,7 +117,7 @@ def fisher_sir_mc(
     m: int,
     replicates: int,
     rng: RngStream,
-    chunk: int = 4096,
+    chunk: int = MC_CHUNK,
 ) -> FisherReport:
     """Monte-Carlo evaluation of the information sum for the recovery
     regime: each summand is the unconditional mean of the live-path
@@ -132,11 +139,14 @@ def fisher_sir_mc(
     per_k_sum = np.zeros(m)
     survival_sum = np.zeros(m)
     totals = []
+    streams = []
     done = 0
     n_chunks = 0
     while done < replicates:
         r = min(chunk, replicates - done)
-        block = simulate_paths(params, i0, r0, m, rng.substream(n_chunks), r)
+        stream = rng.substream(n_chunks)
+        streams.append([stream.seed, stream.stream_id])
+        block = simulate_paths(params, i0, r0, m, stream, r)
         # C_{k-1} and E_{k-1} for k = 1..m are rows 0..m-1.
         c_prev = block.C[:m].astype(float)
         alive_prev = block.alive[:m]
@@ -156,6 +166,7 @@ def fisher_sir_mc(
     return _finish(
         "sir", n, m, i0, r0, per_k,
         survival=survival, mc_replicates=replicates, mc_stderr=stderr,
+        work={"path_steps": m * replicates, "chunks": n_chunks, "rng_streams": streams},
     )
 
 
@@ -195,6 +206,63 @@ def fisher_sir_exact(params: ModelParams, i0: int, r0: int, m: int) -> FisherRep
     return _finish("sir", n, m, i0, r0, per_k, survival=survival)
 
 
+# Doubles per array in a slab of rows of the score oracle (512 KB).
+_ORACLE_SLAB_DOUBLES = 1 << 16
+
+
+def _slab_loglik(block, k0: int, k1: int, beta: float, gamma: float, a: float):
+    """Jump log-likelihood terms of rows k0..k1-1 of a path block as a
+    function of n' (a = p*n held fixed): row k-1 holds
+
+        log(lam) - lam*T_k  [+ log(eta) or log1p(-eta), gamma > 0]
+
+    on live rows and 0 on stopped ones, with s = n' - C_{k-1},
+    lam = (beta*s/n')*I + (a/n')*s + gamma*I and
+    eta = s(beta*I + a) / (s(beta*I + a) + (n'gamma)*I).  The n'-free
+    arrays are computed once here; each call evaluates those float
+    operations, in that order, in place in the slab's buffers and returns a
+    view that the next call overwrites."""
+    c_prev = block.C[k0:k1].astype(float)
+    i_prev = block.infected[k0:k1].astype(float)
+    dead = ~block.alive[k0:k1]
+    t_obs = np.where(dead, 0.0, block.T[k0:k1])
+    s, lam = np.empty_like(c_prev), np.empty_like(c_prev)
+    if gamma > 0:
+        stepped = block.C[k0 + 1 : k1 + 1] > block.C[k0:k1]
+        gamma_i = gamma * i_prev
+        beta_i_a = beta * i_prev + a
+        num = np.empty_like(c_prev)
+
+    def loglik(nprime):
+        np.subtract(nprime, c_prev, out=s)
+        np.multiply(s, beta, out=lam)
+        np.divide(lam, nprime, out=lam)
+        np.multiply(lam, i_prev, out=lam)
+        if gamma > 0:
+            np.multiply(s, beta_i_a, out=num)
+        np.multiply(s, a / nprime, out=s)
+        np.add(lam, s, out=lam)
+        if gamma > 0:
+            np.add(lam, gamma_i, out=lam)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ll = np.log(lam, out=s)
+            np.multiply(lam, t_obs, out=lam)
+            ll -= lam
+            if gamma > 0:
+                np.multiply(i_prev, nprime * gamma, out=lam)
+                np.add(lam, num, out=lam)
+                eta = np.divide(num, lam, out=num)
+                log_eta = np.log(eta, out=lam)
+                np.negative(eta, out=eta)
+                jump_term = np.log1p(eta, out=eta)
+                np.copyto(jump_term, log_eta, where=stepped)
+                ll += jump_term
+        np.copyto(ll, 0.0, where=dead)
+        return ll
+
+    return loglik
+
+
 def score_variance_oracle(
     params: ModelParams,
     i0: int,
@@ -227,24 +295,18 @@ def score_variance_oracle(
     while done < replicates:
         r = min(chunk, replicates - done)
         block = simulate_paths(params, i0, r0, m, rng.substream(1000 + n_chunks), r)
-        c_prev = block.C[:m].astype(float)
-        i_prev = block.infected[:m].astype(float)
-        alive_prev = block.alive[:m]
-        t_obs = block.T
-        stepped = block.C[1:] > block.C[:m]
-
-        def full_loglik(nprime):
-            s = nprime - c_prev
-            lam = (beta * s / nprime) * i_prev + (a / nprime) * s + gamma * i_prev
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ll = np.log(lam) - lam * np.where(alive_prev, t_obs, 0.0)
-                if gamma > 0:
-                    num = s * (beta * i_prev + a)
-                    eta = num / (num + nprime * gamma * i_prev)
-                    ll = ll + np.where(stepped, np.log(eta), np.log1p(-eta))
-            return np.where(alive_prev, ll, 0.0).sum(axis=0)
-
-        score = (full_loglik(n + h) - full_loglik(n - h)) / (2.0 * h)
+        # A column's log-likelihood is a sum of per-row terms.  Rows are
+        # taken a cache-sized slab at a time and added in row order from
+        # 0.0, which is how sum(axis=0) adds them.
+        total_hi, total_lo = np.zeros(r), np.zeros(r)
+        rows = max(1, _ORACLE_SLAB_DOUBLES // max(r, 1))
+        for k0 in range(0, m, rows):
+            loglik = _slab_loglik(block, k0, min(k0 + rows, m), beta, gamma, a)
+            for total, nprime in ((total_hi, n + h), (total_lo, n - h)):
+                for row in loglik(nprime):
+                    total += row
+        del block
+        score = (total_hi - total_lo) / (2.0 * h)
         scores.append(score)
         done += r
         n_chunks += 1

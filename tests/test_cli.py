@@ -121,6 +121,10 @@ def test_fisher_report_json(tmp_path):
     assert obj["mc_replicates"] == 500
     meta = json.loads((tmp_path / "fisher.json.meta.json").read_text())
     assert isinstance(meta["wall_time_s"], float)
+    assert meta["path_steps"] == 30 * 500
+    assert meta["chunks"] == 1
+    assert meta["rng_streams"] == [[2, 0]]
+    assert "path_steps" not in obj and "rng_streams" not in obj
 
 
 def test_estimate_round_trip(tmp_path):
@@ -301,6 +305,20 @@ def _ledger_csv(path):
     return path
 
 
+def _batch_ledger_csv(path):
+    assert run([
+        "simulate", "--model", "sir", "--N", "1000", "--beta", "0.5", "--gamma", "0.25",
+        "--i0", "5", "--max-jumps", "50", "--replicates", "3", "--seed", "3", "--out", str(path),
+    ]) == 0
+    return path
+
+
+def _drop_line(path, line_no):
+    lines = path.read_text().splitlines()
+    del lines[line_no - 1]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _drop_column(path, column):
     lines = [line.split(",") for line in path.read_text().splitlines()]
     j = lines[0].index(column)
@@ -326,8 +344,17 @@ def _set_cell(path, line_no, column, value):
          ["estimate", "--model", "sir"], "missing column 'S'"),
         (_ledger_csv, lambda p: _set_cell(p, 3, "I", "x"),
          ["estimate", "--model", "sir"], "line 3, column 'I'"),
+        (_ledger_csv, lambda p: _set_cell(p, 5, "S", "-1"),
+         ["estimate", "--model", "sir"], "line 5: negative compartment"),
+        (_counts_csv, lambda p: _drop_line(p, 5),
+         ["fit", "--gamma", "0.25", "--n-max", "1e6"], "line 5, instance r1: epoch t=4"),
+        (_batch_ledger_csv, lambda p: None,
+         ["estimate", "--model", "sir"], "'replicate' column"),
     ],
-    ids=["fit-no-delta_c", "peaks-no-delta_c", "peaks-float-cell", "estimate-no-S", "estimate-bad-cell"],
+    ids=[
+        "fit-no-delta_c", "peaks-no-delta_c", "peaks-float-cell", "estimate-no-S", "estimate-bad-cell",
+        "estimate-negative-S", "fit-epoch-gap", "estimate-batch-ledger",
+    ],
 )
 def test_malformed_csv_is_a_data_error(tmp_path, capsys, make, edit, command, needle):
     path = make(tmp_path / "input.csv")

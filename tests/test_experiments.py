@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from difflim import experiments
 from difflim.core import ValidationError
 from difflim.experiments import (
     STUDY_SCHEMAS,
@@ -26,6 +27,21 @@ def test_config_validation():
         StudyConfig(study="FisherScaling", grid={"ns": [100]}, replicates=0)
     with pytest.raises(ValidationError):
         run_study(StudyConfig(study="NoSuchStudy", grid={"x": 1}))
+
+
+def test_fisher_scaling_rejects_overlapping_streams(monkeypatch):
+    """Grid point idx owns streams 1000*idx + chunk.  A replicate count
+    needing more than 1000 chunks of 4096 is refused before any simulation;
+    one needing exactly 1000 gets past the guard."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated despite overlapping streams")
+
+    monkeypatch.setattr(experiments, "fisher_sir_mc", refuse)
+    grid = {"regime": "sir", "ns": [1e3, 1e4], "i0": 82}
+    with pytest.raises(ValidationError, match="1001 Monte-Carlo chunks"):
+        run_study(StudyConfig("FisherScaling", grid, replicates=1000 * 4096 + 1))
+    with pytest.raises(AssertionError, match="simulated"):
+        run_study(StudyConfig("FisherScaling", grid, replicates=1000 * 4096))
 
 
 def test_fisher_scaling_bass_rows():

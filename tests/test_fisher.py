@@ -14,6 +14,7 @@ from difflim.fisher import (
     score_variance_oracle,
     sir_bracket,
 )
+from reference_kernels import reference_score_variance_oracle
 
 SIR_SMALL = ModelParams(n=200, beta=0.5, gamma=0.25, regime=Regime.SIR)
 
@@ -157,6 +158,26 @@ def test_score_oracle_h_robustness():
     j1, se1 = score_variance_oracle(params, 1, 0, 50, replicates=30_000, rng=RngStream(seed=21), h=500 * 1e-4)
     j2, _ = score_variance_oracle(params, 1, 0, 50, replicates=30_000, rng=RngStream(seed=21), h=500 * 5e-5)
     assert abs(j1 - j2) < se1
+
+
+@pytest.mark.parametrize(
+    "params, i0, r0, m, reps, chunk",
+    [
+        (ModelParams(n=1000, beta=0.5, gamma=0.0, p=0.001, regime=Regime.BASS), 1, 0, 100, 3000, 20000),
+        (ModelParams(n=2000, beta=0.5, gamma=0.0, p=5e-4, regime=Regime.BASS), 1, 0, 80, 2500, 1000),
+        (ModelParams(n=500, beta=0.5, gamma=0.25, regime=Regime.SIR), 10, 0, 40, 3000, 20000),
+        (ModelParams(n=200, beta=0.5, gamma=0.4, regime=Regime.SIR), 1, 0, 60, 2500, 20000),
+        (ModelParams(n=300, beta=0.6, gamma=0.2, p=0.01), 3, 1, 50, 2000, 20000),
+    ],
+    ids=["bass", "bass-chunked", "sir", "sir-extinction", "general"],
+)
+def test_score_oracle_matches_reference_bit_for_bit(params, i0, r0, m, reps, chunk):
+    """The hoisted, in-place oracle returns the very (j, se) of the
+    per-call version it replaced."""
+    rng = RngStream(seed=5, stream_id=1)
+    got = score_variance_oracle(params, i0, r0, m, reps, rng, chunk=chunk)
+    want = reference_score_variance_oracle(params, i0, r0, m, reps, rng, chunk=chunk)
+    assert got == want
 
 
 def test_survival_threshold_values():

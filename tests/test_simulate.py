@@ -14,6 +14,7 @@ from difflim.core import (
     reconstruct_state,
     write_batch_csv,
 )
+from difflim import simulate
 from difflim.simulate import (
     TERMINATED,
     SimSpec,
@@ -26,6 +27,8 @@ from difflim.simulate import (
     simulate_paths,
     walk_stopping_time,
 )
+
+from reference_kernels import reference_simulate_paths
 
 BASS = ModelParams(n=1000, beta=0.5, gamma=0.0, p=0.001, regime=Regime.BASS)
 SIR = ModelParams(n=100, beta=0.5, gamma=0.25, regime=Regime.SIR)
@@ -273,3 +276,105 @@ def test_dominance_of_comparison_walk():
     ks_band = 1.63 * math.sqrt(2.0 / reps)
     assert float(np.max(cdf_mod - cdf_a)) <= ks_band
     assert float(np.max(cdf_b - cdf_mod)) <= ks_band
+
+
+# ---------------------------------------------------------------------------
+# Exact parity of the lockstep kernel with the reference loop it replaced,
+# and with the scalar ledger simulator on the same stream.
+# ---------------------------------------------------------------------------
+
+PARITY_CASES = {
+    "sir": (ModelParams(n=60, beta=0.5, gamma=0.45, regime=Regime.SIR), 1, 0, 40, 300),
+    "sir-long": (ModelParams(n=1e5, beta=0.5, gamma=0.25, regime=Regime.SIR), 82, 0, 300, 200),
+    "bass-p": (ModelParams(n=1000, beta=0.5, gamma=0.0, p=0.001, regime=Regime.BASS), 1, 0, 100, 50),
+    "general": (ModelParams(n=80, beta=0.7, gamma=0.3, p=0.01), 3, 2, 120, 64),
+    "non-integer-n-sir": (ModelParams(n=50.5, beta=0.9, gamma=0.1), 2, 1, 80, 100),
+    "non-integer-n-bass": (ModelParams(n=20.5, beta=0.5, gamma=0.0, p=0.1), 1, 0, 30, 40),
+    # Every column dies within the first block of uniforms; the later
+    # blocks are never drawn.
+    "extinction": (ModelParams(n=50, beta=0.01, gamma=50.0), 1, 0, 4000, 20),
+    "fills-population-sir": (ModelParams(n=15, beta=5.0, gamma=0.05), 2, 0, 60, 33),
+    "fills-population-bass": (ModelParams(n=12, beta=0.5, gamma=0.0, p=0.1), 1, 0, 30, 7),
+    "zero-rate-frozen": (ModelParams(n=10, beta=0.5, gamma=0.0, p=0.0), 3, 4, 12, 9),
+    "all-rates-zero": (ModelParams(n=10, beta=0.0, gamma=0.0, p=0.0), 3, 0, 5, 4),
+    "dead-at-start": (ModelParams(n=5, beta=0.5, gamma=0.2), 5, 0, 5, 3),
+    "R1-sir": (ModelParams(n=200, beta=0.5, gamma=0.3), 2, 1, 60, 1),
+    "R1-bass": (ModelParams(n=200, beta=0.5, gamma=0.0, p=0.01), 2, 0, 60, 1),
+    "R-beyond-block-sir": (ModelParams(n=500, beta=0.5, gamma=0.25), 5, 0, 4, 40_000),
+    "R-beyond-block-bass": (ModelParams(n=500, beta=0.5, gamma=0.0, p=0.002), 5, 0, 4, 40_000),
+    "m0": (ModelParams(n=500, beta=0.5, gamma=0.25), 5, 0, 0, 10),
+    # S*(beta*I) overflows to inf for I >= 2, so p_inf = inf/inf is NaN and
+    # the gamma = 0 jump is a recovery.
+    "overflow-gamma0": (ModelParams(n=200, beta=5e305, gamma=0.0), 5, 0, 20, 6),
+    "overflow-sir": (ModelParams(n=200, beta=5e305, gamma=0.5), 5, 0, 20, 6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_simulate_paths_matches_reference_loop(case):
+    params, i0, r0, m, reps = PARITY_CASES[case]
+    rng = RngStream(seed=7, stream_id=3)
+    with np.errstate(over="ignore"):
+        got = simulate_paths(params, i0, r0, m, rng, reps)
+        want = reference_simulate_paths(params, i0, r0, m, rng, reps)
+    for name in ("T", "C", "alive", "infected"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_parity_cases_reach_their_edge():
+    """The named edge cases do what their names say."""
+    def block(case):
+        params, i0, r0, m, reps = PARITY_CASES[case]
+        with np.errstate(over="ignore"):
+            return simulate_paths(params, i0, r0, m, RngStream(seed=7, stream_id=3), reps)
+
+    ext = block("extinction")
+    assert not ext.alive[-1].any() and np.all(ext.infected[-1] == 0)
+    assert simulate._BLOCK_DOUBLES // (2 * 20) < 4000
+    for case in ("fills-population-sir", "fills-population-bass", "non-integer-n-bass"):
+        b, n = block(case), PARITY_CASES[case][0].n
+        # stopped with every uncounted unit infected: i reached n (or passed it, non-integer n)
+        assert np.any(~b.alive[-1] & (b.C[-1] > n - 1)), case
+    # Three infections use up S; the rate is then zero with 0 < i < n.
+    frozen = block("zero-rate-frozen")
+    assert frozen.alive.all() and np.all(frozen.C[3:] == 10) and np.all(frozen.infected[3:] == 6)
+    assert np.isfinite(frozen.T[:3]).all() and np.isinf(frozen.T[3:]).all()
+    assert block("dead-at-start").alive.sum() == 0
+    over = block("overflow-gamma0")
+    assert np.any(over.C[1:] == over.C[:-1]) and np.any(over.C[1:] > over.C[:-1])
+    assert 2 * PARITY_CASES["R-beyond-block-sir"][4] > simulate._BLOCK_DOUBLES
+
+
+@pytest.mark.parametrize(
+    "params, i0, r0",
+    [
+        (ModelParams(n=300, beta=0.5, gamma=0.3, regime=Regime.SIR), 3, 1),
+        (ModelParams(n=40, beta=0.8, gamma=0.2, regime=Regime.SIR), 2, 0),
+        (ModelParams(n=1000, beta=0.5, gamma=0.0, p=0.001, regime=Regime.BASS), 1, 0),
+        (ModelParams(n=30, beta=0.5, gamma=0.0, p=0.05, regime=Regime.BASS), 2, 0),
+    ],
+    ids=["sir", "sir-small-n", "bass", "bass-fills-population"],
+)
+def test_ledger_matches_one_column_block(params, i0, r0):
+    """simulate_ledger and simulate_paths(..., replicates=1) read the same
+    stream in the same order: counts and liveness agree exactly.  The
+    ledger takes -log1p(-u) from math.log1p and the block from numpy's
+    log1p, which differ by at most one ulp; after the division by the rate
+    the holding times are at most two ulps apart."""
+    m = 120
+    for stream in range(5):
+        rng = RngStream(seed=7, stream_id=stream)
+        ledger = simulate_ledger(SimSpec(params=params, i0=i0, r0=r0, max_jumps=m, rng=rng))
+        block = simulate_paths(params, i0, r0, m, rng, 1)
+        counts = np.array([e.state_after.c for e in ledger.entries])
+        assert np.array_equal(counts, block.C[1:, 0])
+        stop = ledger.terminated_at if ledger.terminated_at is not None else m + 1
+        assert np.array_equal(np.arange(m + 1) < stop, block.alive[:, 0])
+        t_ledger = np.array([e.inter_arrival for e in ledger.entries])
+        t_block = block.T[:, 0]
+        assert np.array_equal(np.isinf(t_ledger), np.isinf(t_block))
+        live = np.isfinite(t_ledger)
+        assert np.all(t_ledger[live] > 0) and np.all(t_block[live] > 0)
+        ulps = np.abs(t_ledger[live].view(np.int64) - t_block[live].view(np.int64))
+        assert ulps.max(initial=0) <= 2
