@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -142,8 +143,8 @@ def build_parser() -> _Parser:
     tp.add_argument("--instance", default=None, help="instance id (default: first)")
     tp.add_argument("--gamma", type=float, required=True, help="known recovery rate")
     tp.add_argument("--n-max", type=float, required=True, help="upper bound on N")
-    tp.add_argument("--starts", type=int, default=16, help="multi-start count")
-    tp.add_argument("--seed", type=int, default=0, help="start-jitter seed")
+    tp.add_argument("--starts", type=int, default=16, help="ignored; the profile fit has no starts")
+    tp.add_argument("--seed", type=int, default=0, help="ignored; the profile fit draws no random numbers")
     tp.add_argument("--fix-a", action="store_true", help="pin the innovation arrival rate a at 0")
     tp.add_argument("--out", default=None, help="fit JSON path (default stdout)")
 
@@ -327,9 +328,17 @@ def cmd_fit(args) -> int:
         series = matches[0]
     cfg = OptimizerConfig(starts=args.starts, seed=args.seed, fit_a=not args.fix_a)
     result = fit_mle(series, gamma_known=args.gamma, n_max=args.n_max, cfg=cfg)
+    if not math.isfinite(result.loglik):
+        raise DataCorruptionError(
+            f"{args.input}: instance {series.instance_id}: no (a, beta, N) in the box gives these "
+            "counts a positive likelihood (a count follows an epoch with no infected unit and a is pinned at 0)"
+        )
     _emit_json(result.to_json_dict(), args.out)
     if args.out:
-        _write_meta(args.out, args, {"wall_time_s": time.perf_counter() - t0})
+        _write_meta(
+            args.out, args,
+            {"wall_time_s": time.perf_counter() - t0, "loglik_evals": result.loglik_evals},
+        )
     return EXIT_OK
 
 

@@ -95,6 +95,11 @@ def validate_params(params: ModelParams, strict_supercritical: bool = False) -> 
         raise ValidationError("sir regime requires p = 0")
     if strict_supercritical and not params.beta > params.gamma:
         raise ValidationError("beta <= gamma (strict supercritical flag set)")
+    # Every product the kernels form, S*(beta*I + p*n) and n*gamma*I with
+    # S, I <= n, is at most this; an overflow there turns the jump-type
+    # probability into NaN.
+    if not math.isfinite((params.beta + params.p + params.gamma) * params.n * params.n):
+        raise ValidationError("rates overflow: (beta + p + gamma) * n^2 is not finite")
     return params
 
 

@@ -153,10 +153,14 @@ def loglik(
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Mode and box of ``fit_mle``.
+
+    ``starts`` and ``seed`` are accepted for compatibility and ignored: the
+    profile fit has no starts and draws no random numbers.
+    """
+
     starts: int = 16
     seed: int = 0
-    ftol: float = 1e-9
-    max_evals: int = 5000
     fit_a: bool = True
     a_max: float = 10.0
     beta_max: float = 2.0
@@ -172,6 +176,7 @@ class FitResult:
     bounds: dict
     trace: list
     recoveries_imputed: bool = False
+    loglik_evals: int = 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -186,94 +191,167 @@ class FitResult:
         }
 
 
+PROFILE_POINTS = 64
+_INNER_TOL = 1e-15
+
+
+def _golden_max(f, lo: float, hi: float, iters: int = 80) -> float:
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def _ab_value(th, xp, ip, u0: float, u1: float) -> float:
+    """The (a, b)-dependent part of the loglik at one n:
+    sum xp log(a + b ip) - a u0 - b u1."""
+    with np.errstate(divide="ignore"):
+        return float(np.dot(xp, np.log(th[0] + th[1] * ip))) - th[0] * u0 - th[1] * u1
+
+
+def _backtrack(th, f: float, g, direction, hi, args):
+    """The first of the steps 1, 1/2, 1/4, ... along ``direction``,
+    projected onto the box, that raises ``_ab_value`` by the Armijo
+    fraction of its predicted gain; None if no step above 1e-12 does."""
+    t = 1.0
+    while t > 1e-12:
+        new = np.clip(th + t * direction, 0.0, hi)
+        f_new = _ab_value(new, *args)
+        if f_new > f and f_new >= f + 1e-4 * float(np.dot(g, new - th)):
+            return new, f_new
+        t *= 0.5
+    return None
+
+
+def _inner_newton(xp, ip, u0: float, u1: float, hi, start):
+    """Maximize ``_ab_value`` over the box [0, hi[0]] x [0, hi[1]] from a
+    start where it is finite: projected Newton steps with an active set at
+    the bounds and Armijo backtracking, falling back to a diagonally scaled
+    gradient step when the Newton step makes no progress.  The objective is
+    concave, so a Newton decrement below tolerance on the free coordinates
+    certifies the maximum.  Returns (theta, value, converged)."""
+    args = (xp, ip, u0, u1)
+    th = np.asarray(start, dtype=float)
+    f = _ab_value(th, *args)
+    for _ in range(100):
+        q = xp / (th[0] + th[1] * ip)
+        g = np.array([q.sum() - u0, np.dot(q, ip) - u1])
+        q2 = q / (th[0] + th[1] * ip)
+        h00, h01, h11 = q2.sum(), np.dot(q2, ip), np.dot(q2, ip * ip)  # minus the Hessian
+        free = ~(((th <= 0.0) & (g <= 0.0)) | ((th >= hi) & (g >= 0.0)))
+        scaled = np.where(free, g / np.maximum([h00, h11], 1e-300), 0.0)
+        det = h00 * h11 - h01 * h01
+        if free.all() and det > 1e-12 * h00 * h11:
+            step = np.array([h11 * g[0] - h01 * g[1], h00 * g[1] - h01 * g[0]]) / det
+        else:
+            step = scaled
+        if float(np.dot(g, step)) <= _INNER_TOL * max(1.0, abs(f)):
+            return th, f, True
+        found = _backtrack(th, f, g, step, hi, args) or _backtrack(th, f, g, scaled, hi, args)
+        if found is None:
+            return th, f, False
+        th, f = found
+    return th, f, False
+
+
 def fit_mle(
     series: CountSeries,
     gamma_known: float,
     n_max: float,
     cfg: OptimizerConfig = OptimizerConfig(),
 ) -> FitResult:
-    """Box-constrained likelihood maximization over (a, beta, n).
+    """Box-constrained likelihood maximization over (a, beta, n) by
+    profiling n.
 
-    Multi-start simplex descent with n log-parameterized; starts lie on a
-    seeded log-grid over n in [c_total, n_max] crossed with beta values in
-    [0.01, beta_max].  Deterministic given cfg.seed.  ``converged`` is the
-    optimizer's own flag for the returned (best) start.
+    For n >= c_total the latent infected path does not depend on n and
+    S[t-1] = n - k[t] for a fixed vector k, so the Poisson rate
+    (a + beta I) S / n is linear in (a, beta) and the inner problem is
+    concave.  With a pinned at 0 it is closed form,
+    beta(n) = min(sum x / sum(I S / n), beta_max); otherwise
+    ``_inner_newton`` solves it, warm-started from the previous n.  The
+    profile is scanned on ``PROFILE_POINTS`` points of log n over
+    [c_total, n_max], then refined by golden section between the best
+    point's neighbours.  ``trace`` holds the scan, one entry per grid
+    point; ``loglik_evals`` counts profile evaluations; ``loglik`` is
+    ``loglik`` evaluated at the returned point.  ``converged`` means the
+    final inner solve met its tolerance and that loglik is finite.
+    Deterministic; ``cfg.starts`` and ``cfg.seed`` are ignored.
     """
-    from scipy.optimize import minimize
+    from scipy.special import gammaln
 
     if series.delta_c.sum() <= 0:
         raise ValidationError("series has no positive counts")
     n_lo = max(series.c_total, 1.0)
     if n_max < n_lo:
         raise ValidationError("n_max is below the observed cumulative count")
-    _, _, imputed = _rollout(series, n_lo, gamma_known)
+    _, i_path, imputed = _rollout(series, n_lo, gamma_known)
 
-    gen = RngStream(seed=cfg.seed, stream_id=0).generator()
-    log_n_lo, log_n_hi = math.log(n_lo), math.log(n_max)
-    penalty = -1e18
+    x = series.delta_c.astype(float)
+    i_prev = i_path[:-1]
+    k = series.i_init + series.r_init + np.concatenate(([0.0], np.cumsum(x)[:-1]))
+    pos = x > 0
+    xp, ip, kp = x[pos], i_prev[pos], k[pos]
+    const = float(np.sum(gammaln(xp + 1.0)))
+    hi = np.array([cfg.a_max if cfg.fit_a else 0.0, cfg.beta_max])
+    cold = 0.5 * hi
+    warm = cold
+    evals = 0
 
-    def objective(x) -> float:
-        a = x[0] if cfg.fit_a else 0.0
-        beta, log_n = (x[1], x[2]) if cfg.fit_a else (x[0], x[1])
-        val = loglik(series, a, beta, math.exp(log_n), gamma_known)
-        return -val if math.isfinite(val) else -penalty
+    def profile(n: float):
+        nonlocal warm, evals
+        evals += 1
+        u = (n - k) / n
+        u0, u1 = float(u.sum()), float(np.dot(i_prev, u))
+        if cfg.fit_a:
+            start = warm if math.isfinite(_ab_value(warm, xp, ip, u0, u1)) else cold
+            th, f, ok = _inner_newton(xp, ip, u0, u1, hi, start)
+            warm = th
+        else:
+            th = np.array([0.0, min(xp.sum() / u1, hi[1]) if u1 > 0 else hi[1]])
+            f, ok = _ab_value(th, xp, ip, u0, u1), True
+        return float(f + np.dot(xp, np.log((n - kp) / n)) - const), th, ok
 
-    n_grid = np.exp(np.linspace(log_n_lo, log_n_hi, max(cfg.starts // 4, 2)))
-    beta_grid = np.geomspace(0.01, cfg.beta_max, 4)
-    starts = []
-    for ln in np.log(n_grid):
-        for b in beta_grid:
-            starts.append((b, ln))
-    starts = starts[: max(cfg.starts, 1)]
-    while len(starts) < cfg.starts:
-        starts.append(
-            (
-                float(gen.uniform(0.01, cfg.beta_max)),
-                float(gen.uniform(log_n_lo, log_n_hi)),
-            )
-        )
-
-    if cfg.fit_a:
-        bounds = [(0.0, cfg.a_max), (0.0, cfg.beta_max), (log_n_lo, log_n_hi)]
-    else:
-        bounds = [(0.0, cfg.beta_max), (log_n_lo, log_n_hi)]
-
-    best = None
+    log_grid = np.linspace(math.log(n_lo), math.log(n_max), PROFILE_POINTS)
+    n_grid = np.exp(log_grid)
+    n_grid[[0, -1]] = n_lo, n_max
     trace = []
-    for b0, ln0 in starts:
-        x0 = [0.5, b0, ln0] if cfg.fit_a else [b0, ln0]
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={"fatol": cfg.ftol, "xatol": 1e-10, "maxfev": cfg.max_evals},
-        )
-        trace.append(
-            {
-                "start": list(map(float, x0)),
-                "loglik": -float(res.fun),
-                "nfev": int(res.nfev),
-                "converged": bool(res.success),
-            }
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-
-    if cfg.fit_a:
-        a_hat, beta_hat, log_n_hat = best.x
-    else:
-        a_hat = 0.0
-        beta_hat, log_n_hat = best.x
+    for n in n_grid:
+        ll, th, _ = profile(float(n))
+        trace.append({"n": float(n), "a": float(th[0]), "beta": float(th[1]), "loglik": ll})
+    j = int(np.argmax([t["loglik"] for t in trace]))
+    log_n = _golden_max(
+        lambda v: profile(math.exp(v))[0],
+        log_grid[max(j - 1, 0)],
+        log_grid[min(j + 1, PROFILE_POINTS - 1)],
+    )
+    n_hat = min(max(math.exp(log_n), n_lo), n_max)
+    ll, th, ok = profile(n_hat)
+    if not ll >= trace[j]["loglik"]:
+        n_hat = trace[j]["n"]
+        ll, th, ok = profile(n_hat)
+    a_hat, beta_hat = float(th[0]), float(th[1])
+    final = loglik(series, a_hat, beta_hat, n_hat, gamma_known)
     return FitResult(
-        a_hat=float(a_hat),
-        beta_hat=float(beta_hat),
-        n_hat=float(math.exp(log_n_hat)),
-        loglik=-float(best.fun),
-        converged=bool(best.success),
+        a_hat=a_hat,
+        beta_hat=beta_hat,
+        n_hat=n_hat,
+        loglik=final,
+        converged=bool(ok and math.isfinite(final)),
         bounds={"n_max": n_max, "a_max": cfg.a_max if cfg.fit_a else 0.0, "beta_max": cfg.beta_max},
         trace=trace,
         recoveries_imputed=imputed,
+        loglik_evals=evals,
     )
 
 

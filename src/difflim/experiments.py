@@ -117,7 +117,7 @@ STUDY_SCHEMAS = {
         "t_star_inflection", "t_star_rate", "t_star_upper", "ratio", "pass",
     ],
     "RelErrorScaling": [
-        "n", "m", "replicates", "mean_rel_error", "median_rel_error",
+        "n", "m", "replicates", "mean_rel_error", "mean_rel_error_se", "median_rel_error",
         "fisher_total", "cr_floor", "efficiency", "upper_hits", "pass",
     ],
 }
@@ -312,6 +312,9 @@ def _sir_estimators_from_block(block, i0: int, r0: int):
     return beta_hat, gamma_hat, s_tilde
 
 
+WALK_CHUNK_DOUBLES = 1 << 16
+
+
 def dominance_study(config: StudyConfig) -> StudyResult:
     """Stopping probability of the diffusion versus the Bernoulli
     comparison walk: P(tau <= m) <= P(tau_A <= m) + 3 sigma."""
@@ -328,14 +331,20 @@ def dominance_study(config: StudyConfig) -> StudyResult:
         p_walk = compute_survival_threshold(beta, gamma).p
 
         rng = RngStream(seed=config.seed, stream_id=10_000 * idx)
-        block = simulate_paths(params, i0, r0, m, rng, R)
-        p_tau = float(1.0 - np.mean(block.alive[m]))
+        alive_m = simulate_paths(params, i0, r0, m, rng, R).alive[m]
+        p_tau = float(1.0 - np.mean(alive_m))
 
+        # The walk is drawn in row chunks of at most WALK_CHUNK_DOUBLES
+        # uniforms: the same stream, in the same row-major order, as one
+        # (R, m) draw.
         gen = rng.substream(1).generator()
-        x = (gen.random((R, m)) < p_walk).astype(np.int64)
-        walk = i0 + r0 + np.cumsum(x, axis=1)
         ks = np.arange(1, m + 1)
-        stopped = np.any(2 * walk <= i0 + ks[None, :] + 2 * r0, axis=1)
+        chunk = max(1, WALK_CHUNK_DOUBLES // m)
+        stopped = np.empty(R, dtype=bool)
+        for start in range(0, R, chunk):
+            stop = min(start + chunk, R)
+            walk = i0 + r0 + np.cumsum(gen.random((stop - start, m)) < p_walk, axis=1, dtype=np.int64)
+            stopped[start:stop] = np.any(2 * walk <= i0 + ks[None, :] + 2 * r0, axis=1)
         p_tau_walk = float(np.mean(stopped))
 
         sigma = math.sqrt(max(p_tau_walk * (1 - p_tau_walk), 0.25 / R) / R)
@@ -412,56 +421,68 @@ def fluid_sandwich_study(config: StudyConfig) -> StudyResult:
 # ---------------------------------------------------------------------------
 
 
+def _bass_n_term(n_grid: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """sum log(n - d) - m log n at each candidate n: the part of the
+    pure-adoption loglik that depends on n but not on the replicate."""
+    return np.log(n_grid[:, None] - d[None, :]).sum(axis=1) - len(d) * np.log(n_grid)
+
+
 def bass_loglik_scan(t_col: np.ndarray, i0: int, beta: float, a: float, n_grid: np.ndarray) -> np.ndarray:
     """Log-likelihood of one pure-adoption observation column at each
     candidate n; constant-in-n terms are dropped."""
-    m = len(t_col)
-    d = np.arange(m, dtype=float) + i0          # I_{k-1}
-    c_rate = beta * d + a                       # beta*I + a
-    v = float(np.dot(c_rate * d, t_col))
-    out = np.empty(len(n_grid))
-    for j, n in enumerate(n_grid):
-        out[j] = float(np.sum(np.log(n - d))) - m * math.log(n) + v / n
-    return out
+    d = np.arange(len(t_col), dtype=float) + i0  # I_{k-1}
+    v = float(np.dot((beta * d + a) * d, t_col))
+    n_grid = np.asarray(n_grid, dtype=float)
+    return _bass_n_term(n_grid, d) + v / n_grid
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 80) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+POPULATION_GRID = 64
 
 
 def mle_population_bass(
-    t_col: np.ndarray, i0: int, beta: float, a: float, upper_factor: float = 1e3
-) -> float:
-    """1-D likelihood maximization for n with beta and a known, over
-    [C_m, upper_factor * C_m] in log space: coarse scan then golden-section
-    refinement around the best grid point."""
-    m = len(t_col)
+    T: np.ndarray, i0: int, beta: float, a: float, upper_factor: float = 1e3
+):
+    """Likelihood maximization for n with beta and a known, over
+    [C_m, upper_factor * C_m] in log space, for one holding-time column
+    (shape (m,), returns a float) or R replicate columns at once (shape
+    (m, R), returns an array).
+
+    A replicate enters the loglik sum log(n - d) - m log n + v / n only
+    through v = sum (beta I + a) I T.  The n-only term is scanned once on
+    ``POPULATION_GRID`` points, v / n is added per replicate, and inside
+    the bracket of the best grid point's neighbours the derivative in
+    log n, n (psi(n - i0 + 1) - psi(n - i0 - m + 1)) - m - v / n, is
+    bisected to its root.  A bracket with no sign change returns whichever
+    end has the larger loglik."""
+    from scipy.special import digamma
+
+    cols = np.asarray(T, dtype=float)
+    single = cols.ndim == 1
+    cols = cols.reshape(len(cols), -1)
+    m = cols.shape[0]
     c_m = m + i0
-    lo, hi = math.log(c_m * (1.0 + 1e-9)), math.log(upper_factor * c_m)
-    grid = np.exp(np.linspace(lo, hi, 64))
-    vals = bass_loglik_scan(t_col, i0, beta, a, grid)
-    j = int(np.argmax(vals))
-    lo_j = math.log(grid[max(j - 1, 0)])
-    hi_j = math.log(grid[min(j + 1, len(grid) - 1)])
+    log_grid = np.linspace(math.log(c_m * (1.0 + 1e-9)), math.log(upper_factor * c_m), POPULATION_GRID)
+    grid = np.exp(log_grid)
+    d = np.arange(m, dtype=float) + i0  # I_{k-1}
+    v = ((beta * d + a) * d) @ cols
+    vals = _bass_n_term(grid, d)[None, :] + v[:, None] / grid[None, :]
+    j = np.argmax(vals, axis=1)
+    j_lo, j_hi = np.maximum(j - 1, 0), np.minimum(j + 1, POPULATION_GRID - 1)
 
-    def f(log_n: float) -> float:
-        return bass_loglik_scan(t_col, i0, beta, a, np.array([math.exp(log_n)]))[0]
+    def slope(log_n):
+        n = np.exp(log_n)
+        return n * (digamma(n - i0 + 1) - digamma(n - i0 - m + 1)) - m - v / n
 
-    return math.exp(_golden_max(f, lo_j, hi_j))
+    lo, hi = log_grid[j_lo], log_grid[j_hi]
+    rows = np.arange(len(v))
+    ends = np.where(vals[rows, j_hi] > vals[rows, j_lo], hi, lo)
+    bracketed = (slope(lo) > 0) & (slope(hi) <= 0)
+    for _ in range(64):  # halves a bracket under 1 in log n down to rounding
+        mid = 0.5 * (lo + hi)
+        up = slope(mid) > 0
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    n_hat = np.exp(np.where(bracketed, 0.5 * (lo + hi), ends))
+    return float(n_hat[0]) if single else n_hat
 
 
 def rel_error_study(config: StudyConfig) -> StudyResult:
@@ -480,13 +501,9 @@ def rel_error_study(config: StudyConfig) -> StudyResult:
     rows = []
     for idx, m in enumerate(g["ms"]):
         block = simulate_paths(params, i0, 0, m, RngStream(seed=config.seed, stream_id=500 * idx), R)
-        rel_errors = np.empty(R)
-        upper_hits = 0
-        for r in range(R):
-            n_hat = mle_population_bass(block.T[:, r], i0, beta, a, upper_factor)
-            rel_errors[r] = (n_hat - n) ** 2 / n ** 2
-            if n_hat > 0.99 * upper_factor * (m + i0):
-                upper_hits += 1
+        n_hat = mle_population_bass(block.T, i0, beta, a, upper_factor)
+        rel_errors = (n_hat - n) ** 2 / n ** 2
+        upper_hits = int(np.sum(n_hat > 0.99 * upper_factor * (m + i0)))
         rep = fisher_bass(n, i0, m)
         floor = cramer_rao_rel_error(rep)
         mean_err = float(np.mean(rel_errors))
@@ -496,6 +513,7 @@ def rel_error_study(config: StudyConfig) -> StudyResult:
                 "m": m,
                 "replicates": R,
                 "mean_rel_error": mean_err,
+                "mean_rel_error_se": float(np.std(rel_errors, ddof=1)) / math.sqrt(R) if R > 1 else math.nan,
                 "median_rel_error": float(np.median(rel_errors)),
                 "fisher_total": rep.total,
                 "cr_floor": floor,

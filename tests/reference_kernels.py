@@ -1,11 +1,16 @@
-"""Reference versions of two Monte-Carlo kernels, kept only to check the
-production code against bit for bit:
+"""Reference versions of replaced kernels, kept only to check the
+production code against:
 
 - ``reference_simulate_paths``: the straightforward per-step loop that
   ``difflim.simulate.simulate_paths`` replaced.  Each step draws random(R)
   twice and rebuilds the state through np.where temporaries.
 - ``reference_score_variance_oracle``: ``difflim.fisher.score_variance_oracle``
   before it computed the n'-free terms once per block.
+- ``reference_fit_mle``: ``difflim.discrete.fit_mle`` as a seeded
+  multi-start Nelder-Mead search over (a, beta, log n).
+- ``reference_mle_population_bass``: ``difflim.experiments.mle_population_bass``
+  as one golden-section search per replicate, with its loglik scan
+  ``reference_bass_loglik_scan``.
 """
 
 import math
@@ -13,6 +18,7 @@ import math
 import numpy as np
 
 from difflim.core import ModelParams, RngStream, ValidationError, validate_params
+from difflim.discrete import FitResult, _rollout, loglik
 from difflim.simulate import PathBlock, simulate_paths
 
 
@@ -106,3 +112,114 @@ def reference_score_variance_oracle(params, i0, r0, m, replicates, rng, h=None, 
     mu4 = float(np.mean(centered ** 4))
     var_of_var = max(mu4 - j_est ** 2, 0.0) / len(scores)
     return j_est, math.sqrt(var_of_var)
+
+
+def reference_fit_mle(
+    series, gamma_known, n_max, starts=16, seed=0, fit_a=True, a_max=10.0, beta_max=2.0,
+    ftol=1e-9, max_evals=5000,
+):
+    from scipy.optimize import minimize
+
+    if series.delta_c.sum() <= 0:
+        raise ValidationError("series has no positive counts")
+    n_lo = max(series.c_total, 1.0)
+    if n_max < n_lo:
+        raise ValidationError("n_max is below the observed cumulative count")
+    _, _, imputed = _rollout(series, n_lo, gamma_known)
+
+    gen = RngStream(seed=seed, stream_id=0).generator()
+    log_n_lo, log_n_hi = math.log(n_lo), math.log(n_max)
+    penalty = -1e18
+
+    def objective(x) -> float:
+        a = x[0] if fit_a else 0.0
+        beta, log_n = (x[1], x[2]) if fit_a else (x[0], x[1])
+        val = loglik(series, a, beta, math.exp(log_n), gamma_known)
+        return -val if math.isfinite(val) else -penalty
+
+    n_grid = np.exp(np.linspace(log_n_lo, log_n_hi, max(starts // 4, 2)))
+    beta_grid = np.geomspace(0.01, beta_max, 4)
+    start_points = []
+    for ln in np.log(n_grid):
+        for b in beta_grid:
+            start_points.append((b, ln))
+    start_points = start_points[: max(starts, 1)]
+    while len(start_points) < starts:
+        start_points.append(
+            (float(gen.uniform(0.01, beta_max)), float(gen.uniform(log_n_lo, log_n_hi)))
+        )
+
+    if fit_a:
+        bounds = [(0.0, a_max), (0.0, beta_max), (log_n_lo, log_n_hi)]
+    else:
+        bounds = [(0.0, beta_max), (log_n_lo, log_n_hi)]
+
+    best = None
+    trace = []
+    for b0, ln0 in start_points:
+        x0 = [0.5, b0, ln0] if fit_a else [b0, ln0]
+        res = minimize(
+            objective, x0, method="Nelder-Mead", bounds=bounds,
+            options={"fatol": ftol, "xatol": 1e-10, "maxfev": max_evals},
+        )
+        trace.append({"start": list(map(float, x0)), "loglik": -float(res.fun),
+                      "nfev": int(res.nfev), "converged": bool(res.success)})
+        if best is None or res.fun < best.fun:
+            best = res
+
+    if fit_a:
+        a_hat, beta_hat, log_n_hat = best.x
+    else:
+        a_hat = 0.0
+        beta_hat, log_n_hat = best.x
+    return FitResult(
+        a_hat=float(a_hat), beta_hat=float(beta_hat), n_hat=float(math.exp(log_n_hat)),
+        loglik=-float(best.fun), converged=bool(best.success),
+        bounds={"n_max": n_max, "a_max": a_max if fit_a else 0.0, "beta_max": beta_max},
+        trace=trace, recoveries_imputed=imputed,
+    )
+
+
+def reference_bass_loglik_scan(t_col, i0, beta, a, n_grid):
+    m = len(t_col)
+    d = np.arange(m, dtype=float) + i0
+    c_rate = beta * d + a
+    v = float(np.dot(c_rate * d, t_col))
+    out = np.empty(len(n_grid))
+    for j, n in enumerate(n_grid):
+        out[j] = float(np.sum(np.log(n - d))) - m * math.log(n) + v / n
+    return out
+
+
+def _reference_golden_max(f, lo, hi, iters=80):
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def reference_mle_population_bass(t_col, i0, beta, a, upper_factor=1e3):
+    m = len(t_col)
+    c_m = m + i0
+    lo, hi = math.log(c_m * (1.0 + 1e-9)), math.log(upper_factor * c_m)
+    grid = np.exp(np.linspace(lo, hi, 64))
+    vals = reference_bass_loglik_scan(t_col, i0, beta, a, grid)
+    j = int(np.argmax(vals))
+    lo_j = math.log(grid[max(j - 1, 0)])
+    hi_j = math.log(grid[min(j + 1, len(grid) - 1)])
+
+    def f(log_n):
+        return reference_bass_loglik_scan(t_col, i0, beta, a, np.array([math.exp(log_n)]))[0]
+
+    return math.exp(_reference_golden_max(f, lo_j, hi_j))

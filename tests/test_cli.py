@@ -194,6 +194,45 @@ def test_fit_and_peaks_round_trip(tmp_path):
     assert code == 0
 
 
+def test_fit_sidecar_counts_profile_evaluations(tmp_path):
+    counts = _counts_csv(tmp_path / "counts.csv")
+    fit_out = tmp_path / "fit.json"
+    assert run([
+        "fit", "--input", str(counts), "--gamma", "0.25", "--n-max", "1000000", "--out", str(fit_out),
+    ]) == 0
+    obj = json.loads(fit_out.read_text())
+    assert set(obj) == {
+        "a_hat", "beta_hat", "n_hat", "loglik", "converged", "bounds", "recoveries_imputed", "trace",
+    }
+    assert obj["converged"] is True
+    assert all(set(t) == {"n", "a", "beta", "loglik"} for t in obj["trace"])
+    meta = json.loads((tmp_path / "fit.json.meta.json").read_text())
+    assert isinstance(meta["wall_time_s"], float)
+    assert meta["loglik_evals"] > len(obj["trace"])
+
+
+def test_fit_with_infeasible_counts_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "counts.csv"
+    path.write_text("instance_id,t,delta_c,delta_r\nq,0,1,0\nq,1,0,1\nq,2,2,0\n")
+    assert run(["fit", "--input", str(path), "--gamma", "0.25", "--n-max", "100", "--fix-a"]) == 2
+    err = capsys.readouterr().err
+    assert "difflim: error[data]:" in err and str(path) in err
+    assert "Traceback" not in err
+    assert run(["fit", "--input", str(path), "--gamma", "0.25", "--n-max", "100"]) == 0
+
+
+def test_overflowing_rate_is_a_validation_error(tmp_path, capsys):
+    code = run([
+        "simulate", "--model", "sir", "--N", "200", "--beta", "5e305", "--gamma", "0.5",
+        "--i0", "5", "--max-jumps", "20", "--out", str(tmp_path / "x.csv"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "difflim: error[validation]:" in err and "overflow" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_study_subcommand(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -284,16 +323,18 @@ def test_commands_without_fits_or_ode_never_import_scipy(tmp_path):
 def test_fluid_and_fit_import_scipy_where_used(tmp_path):
     counts = _counts_csv(tmp_path / "counts.csv")
     argvs = [
-        ["fluid", "--model", "sir", "--N", "10000", "--beta", "0.5", "--gamma", "0.25",
-         "--i0", "1", "--out", "traj.csv"],
         ["fit", "--input", str(counts), "--gamma", "0.25", "--n-max", "1000000",
          "--starts", "4", "--fix-a", "--out", "fit.json"],
+        ["fluid", "--model", "sir", "--N", "10000", "--beta", "0.5", "--gamma", "0.25",
+         "--i0", "1", "--out", "traj.csv"],
     ]
     report = _dispatch_in_fresh_interpreter(argvs, tmp_path)
     assert report[0][2] == []
     for name, code, scipy_mods in report[1:]:
         assert code == 0, name
         assert scipy_mods, name
+    # fit runs first, so this is what fit alone loads
+    assert not any(m.startswith("scipy.optimize") for m in report[1][2])
     assert json.loads((tmp_path / "fit.json").read_text())["n_hat"] > 0
 
 

@@ -94,6 +94,16 @@ def test_validate_params_rejects_bad_values():
         validate_params(ModelParams(n=10, beta=0.5, gamma=0.1, regime=Regime.BASS))
     with pytest.raises(ValidationError):
         validate_params(ModelParams(n=10, beta=0.5, p=0.1, regime=Regime.SIR))
+    # (beta + p + gamma) * n^2 overflows, whichever rate is large
+    overflowing = [
+        ModelParams(n=200, beta=5e305),
+        ModelParams(n=1e160, beta=0.5),
+        ModelParams(n=1e3, beta=0.0, gamma=1e303),
+    ]
+    for big in overflowing:
+        with pytest.raises(ValidationError, match="overflow"):
+            validate_params(big)
+    assert validate_params(ModelParams(n=1e12, beta=1e6, gamma=1e6, p=1e6))
 
 
 def test_diffusion_state_identities():

@@ -294,3 +294,92 @@ def test_time_varying_beta_vector():
     assert math.isfinite(val)
     with pytest.raises(ValidationError):
         simulate_discrete(params, 10, 0, 4, RngStream(seed=41), beta_t=beta_t)
+
+
+# ---------------------------------------------------------------------------
+# The profile-likelihood fit against the multi-start Nelder-Mead search it
+# replaced (tests/reference_kernels.py).
+# ---------------------------------------------------------------------------
+
+
+def _cut(series, cutoff):
+    t_cut = int(np.searchsorted(series.i_init + np.cumsum(series.delta_c), cutoff) + 1)
+    dr = None if series.delta_r is None else series.delta_r[:t_cut]
+    return CountSeries(series.instance_id, series.i_init, series.r_init, series.delta_c[:t_cut], dr)
+
+
+_FULL = simulate_discrete(SIR, 10, 0, 60, RngStream(seed=1))
+_SHORT = _cut(_FULL, 465)
+_UNOBSERVED = CountSeries("u", _FULL.i_init, _FULL.r_init, _FULL.delta_c)
+_INNOVATION = simulate_discrete(
+    ModelParams(n=10_000, beta=0.5, gamma=0.25, p=1e-4), 10, 0, 60, RngStream(seed=2)
+)
+
+FIT_CASES = {
+    "full": (_FULL, 1e6, dict(fit_a=False)),
+    "full-fit-a": (_FULL, 1e6, dict(fit_a=True)),
+    "innovation-fit-a": (_INNOVATION, 1e6, dict(fit_a=True)),
+    "truncated": (_SHORT, 1e6, dict(fit_a=False)),
+    "truncated-fit-a": (_SHORT, 1e6, dict(fit_a=True)),
+    "n-at-n-max": (_FULL, 8000.0, dict(fit_a=False)),
+    "beta-at-beta-max": (_FULL, 1e6, dict(fit_a=True, beta_max=0.3)),
+    "imputed-recoveries": (_UNOBSERVED, 1e6, dict(fit_a=False)),
+    "imputed-recoveries-fit-a": (_UNOBSERVED, 1e6, dict(fit_a=True)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIT_CASES))
+def test_profile_fit_at_least_matches_nelder_mead(case):
+    from reference_kernels import reference_fit_mle
+
+    series, n_max, kw = FIT_CASES[case]
+    fit = fit_mle(series, 0.25, n_max, OptimizerConfig(**kw))
+    ref = reference_fit_mle(series, 0.25, n_max, starts=12, seed=0, **kw)
+    assert fit.converged
+    assert fit.loglik >= ref.loglik - 1e-9 * abs(ref.loglik)
+    assert fit.loglik == loglik(series, fit.a_hat, fit.beta_hat, fit.n_hat, 0.25)
+    assert series.c_total <= fit.n_hat <= n_max
+    assert 0.0 <= fit.beta_hat <= kw.get("beta_max", 2.0)
+    assert 0.0 <= fit.a_hat <= (10.0 if kw["fit_a"] else 0.0)
+    assert fit.recoveries_imputed == (series.delta_r is None)
+
+
+def test_profile_fit_cases_reach_their_edge():
+    """The named cases do what their names say."""
+    def fit(case):
+        series, n_max, kw = FIT_CASES[case]
+        return fit_mle(series, 0.25, n_max, OptimizerConfig(**kw))
+
+    assert _SHORT.horizon < _FULL.horizon
+    assert fit("n-at-n-max").n_hat == 8000.0
+    assert fit("beta-at-beta-max").beta_hat == 0.3
+    assert fit("full-fit-a").a_hat == 0.0
+    assert 0.0 < fit("innovation-fit-a").a_hat < 10.0
+    assert fit("imputed-recoveries").recoveries_imputed
+
+
+def test_profile_fit_trace_and_counters():
+    fit = fit_mle(_FULL, 0.25, 1e6, OptimizerConfig(fit_a=False))
+    assert len(fit.trace) == 64
+    ns = [t["n"] for t in fit.trace]
+    assert ns[0] == _FULL.c_total and ns[-1] == 1e6 and ns == sorted(ns)
+    for t in fit.trace:
+        assert t["loglik"] <= fit.loglik
+        assert t["loglik"] == pytest.approx(loglik(_FULL, t["a"], t["beta"], t["n"], 0.25), rel=1e-12)
+    assert fit.loglik_evals > len(fit.trace)
+
+
+def test_profile_fit_ignores_starts_and_seed():
+    a = fit_mle(_SHORT, 0.25, 1e6, OptimizerConfig(starts=12, seed=0, fit_a=True))
+    b = fit_mle(_SHORT, 0.25, 1e6, OptimizerConfig(starts=3, seed=99, fit_a=True))
+    assert (a.a_hat, a.beta_hat, a.n_hat, a.loglik) == (b.a_hat, b.beta_hat, b.n_hat, b.loglik)
+
+
+def test_fit_with_no_feasible_rate_is_not_converged():
+    """A count after an epoch with no infected unit needs a > 0; with a
+    pinned at 0 every profile point is -inf and the fit says so."""
+    s = _series([0, 2, 1], [1, 0, 0], i_init=1)
+    fit = fit_mle(s, 0.25, 100.0, OptimizerConfig(fit_a=False))
+    assert fit.loglik == -math.inf and not fit.converged
+    fit = fit_mle(s, 0.25, 100.0, OptimizerConfig(fit_a=True))
+    assert math.isfinite(fit.loglik) and fit.converged and fit.a_hat > 0.0

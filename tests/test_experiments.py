@@ -188,7 +188,7 @@ def test_study_bit_reproducibility(tmp_path):
 def test_study_csv_golden_schema(tmp_path):
     """Column layout is frozen per study."""
     assert STUDY_SCHEMAS["RelErrorScaling"] == [
-        "n", "m", "replicates", "mean_rel_error", "median_rel_error",
+        "n", "m", "replicates", "mean_rel_error", "mean_rel_error_se", "median_rel_error",
         "fisher_total", "cr_floor", "efficiency", "upper_hits", "pass",
     ]
     assert STUDY_SCHEMAS["FisherScaling"] == [
@@ -216,3 +216,52 @@ def test_config_json_round_trip(tmp_path):
     assert cfg.study == "TimeRatio"
     assert cfg.seed == 4
     assert cfg.replicates == 1
+
+
+def test_population_mle_matches_per_replicate_golden_section():
+    """All replicates at once (derivative root in log n) against one
+    golden-section search per replicate (tests/reference_kernels.py): per
+    replicate the reference loglik is no worse and n_hat agrees to 1e-4;
+    each row's upper_hits and pass are unchanged.  m = 100 is the deep
+    unlearnable row where many replicates sit at the upper bound."""
+    from reference_kernels import reference_bass_loglik_scan, reference_mle_population_bass
+
+    from difflim.core import ModelParams, Regime, RngStream
+    from difflim.fisher import cramer_rao_rel_error, fisher_bass
+    from difflim.simulate import simulate_paths
+
+    n, beta, a, i0, R, seed = 1e4, 0.5, 0.5, 1, 100, 13
+    ms = [100, 465, 1860]
+    res = run_study(StudyConfig("RelErrorScaling", {"n": n, "ms": ms}, replicates=R, seed=seed))
+    params = ModelParams(n=n, beta=beta, gamma=0.0, p=a / n, regime=Regime.BASS)
+    for idx, (m, row) in enumerate(zip(ms, res.rows)):
+        block = simulate_paths(params, i0, 0, m, RngStream(seed=seed, stream_id=500 * idx), R)
+        new = mle_population_bass(block.T, i0, beta, a)
+        old = np.array([reference_mle_population_bass(block.T[:, r], i0, beta, a) for r in range(R)])
+        for r in range(R):
+            at_new, at_old = reference_bass_loglik_scan(block.T[:, r], i0, beta, a, np.array([new[r], old[r]]))
+            assert at_new >= at_old - 1e-9, (m, r)
+        np.testing.assert_allclose(new, old, rtol=1e-4)
+        assert mle_population_bass(block.T[:, 7], i0, beta, a) == pytest.approx(new[7], rel=1e-12)
+        old_hits = int(np.sum(old > 0.99 * 1e3 * (m + i0)))
+        assert row["upper_hits"] == old_hits
+        old_pass = float(np.mean((old - n) ** 2 / n ** 2)) >= 0.8 * cramer_rao_rel_error(fisher_bass(n, i0, m))
+        assert row["pass"] == old_pass
+        assert row["mean_rel_error_se"] > 0
+    assert res.rows[0]["upper_hits"] > 0 and res.rows[-1]["upper_hits"] == 0
+
+
+def test_dominance_walk_chunks_match_one_draw():
+    """The comparison walk drawn in row chunks gives the stopping flags of
+    one (R, m) draw of the same stream."""
+    from difflim.core import RngStream
+    from difflim.fisher import compute_survival_threshold
+
+    pt = {"n": 10_000, "m": 1_000, "i0": 2}
+    R, seed = 300, 5
+    assert R * pt["m"] > experiments.WALK_CHUNK_DOUBLES
+    row = run_study(StudyConfig("Dominance", {"points": [pt]}, replicates=R, seed=seed)).rows[0]
+    gen = RngStream(seed=seed, stream_id=0).substream(1).generator()
+    walk = pt["i0"] + np.cumsum((gen.random((R, pt["m"])) < compute_survival_threshold(0.5, 0.25).p), axis=1)
+    stopped = np.any(2 * walk <= pt["i0"] + np.arange(1, pt["m"] + 1)[None, :], axis=1)
+    assert row["p_tau_walk"] == float(np.mean(stopped))

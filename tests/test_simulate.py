@@ -303,8 +303,11 @@ PARITY_CASES = {
     "R-beyond-block-sir": (ModelParams(n=500, beta=0.5, gamma=0.25), 5, 0, 4, 40_000),
     "R-beyond-block-bass": (ModelParams(n=500, beta=0.5, gamma=0.0, p=0.002), 5, 0, 4, 40_000),
     "m0": (ModelParams(n=500, beta=0.5, gamma=0.25), 5, 0, 0, 10),
-    # S*(beta*I) overflows to inf for I >= 2, so p_inf = inf/inf is NaN and
-    # the gamma = 0 jump is a recovery.
+}
+
+# S*(beta*I) would overflow to inf for I >= 2, making p_inf = inf/inf NaN
+# (a gamma = 0 jump would then count as a recovery); such rates are refused.
+OVERFLOW_CASES = {
     "overflow-gamma0": (ModelParams(n=200, beta=5e305, gamma=0.0), 5, 0, 20, 6),
     "overflow-sir": (ModelParams(n=200, beta=5e305, gamma=0.5), 5, 0, 20, 6),
 }
@@ -314,20 +317,28 @@ PARITY_CASES = {
 def test_simulate_paths_matches_reference_loop(case):
     params, i0, r0, m, reps = PARITY_CASES[case]
     rng = RngStream(seed=7, stream_id=3)
-    with np.errstate(over="ignore"):
-        got = simulate_paths(params, i0, r0, m, rng, reps)
-        want = reference_simulate_paths(params, i0, r0, m, rng, reps)
+    got = simulate_paths(params, i0, r0, m, rng, reps)
+    want = reference_simulate_paths(params, i0, r0, m, rng, reps)
     for name in ("T", "C", "alive", "infected"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
+def test_overflowing_rates_are_refused(case):
+    params, i0, r0, m, reps = OVERFLOW_CASES[case]
+    rng = RngStream(seed=7, stream_id=3)
+    with pytest.raises(ValidationError, match="overflow"):
+        simulate_paths(params, i0, r0, m, rng, reps)
+    with pytest.raises(ValidationError, match="overflow"):
+        simulate_ledger(SimSpec(params=params, i0=i0, r0=r0, max_jumps=m, rng=rng))
 
 
 def test_parity_cases_reach_their_edge():
     """The named edge cases do what their names say."""
     def block(case):
         params, i0, r0, m, reps = PARITY_CASES[case]
-        with np.errstate(over="ignore"):
-            return simulate_paths(params, i0, r0, m, RngStream(seed=7, stream_id=3), reps)
+        return simulate_paths(params, i0, r0, m, RngStream(seed=7, stream_id=3), reps)
 
     ext = block("extinction")
     assert not ext.alive[-1].any() and np.all(ext.infected[-1] == 0)
@@ -341,8 +352,9 @@ def test_parity_cases_reach_their_edge():
     assert frozen.alive.all() and np.all(frozen.C[3:] == 10) and np.all(frozen.infected[3:] == 6)
     assert np.isfinite(frozen.T[:3]).all() and np.isinf(frozen.T[3:]).all()
     assert block("dead-at-start").alive.sum() == 0
-    over = block("overflow-gamma0")
-    assert np.any(over.C[1:] == over.C[:-1]) and np.any(over.C[1:] > over.C[:-1])
+    for params, i0, r0, m, reps in OVERFLOW_CASES.values():
+        with pytest.raises(ValidationError, match="overflow"):
+            simulate_paths(params, i0, r0, m, RngStream(seed=7, stream_id=3), reps)
     assert 2 * PARITY_CASES["R-beyond-block-sir"][4] > simulate._BLOCK_DOUBLES
 
 
