@@ -6,9 +6,9 @@ Exit codes: 0 success, 1 validation/usage error (``error[validation]``),
 feasible path produces), 3 study assertion failure (``error[study]``).
 Errors go to stderr with the machine-parsable prefix
 ``difflim: error[<kind>]:``.  Every primary output file gets a
-``<name>.meta.json`` sidecar holding the resolved config and the command's
-``wall_time_s``; timestamps live only in the sidecar so reruns are
-byte-identical.
+``<name>.meta.json`` sidecar holding the resolved config, the command's
+``wall_time_s`` and the process's ``peak_rss_mb``; timestamps live only in
+the sidecar so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -178,12 +178,23 @@ def _threads(args) -> int:
     return int(env) if env else 1
 
 
+def _peak_rss_mb():
+    """Peak resident set size of this process so far, in MB (ru_maxrss is in
+    KB on Linux); None where the resource module is missing."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def _write_meta(primary_path, args, extra=None) -> None:
     meta = {
         "command": args.command,
         "version": __version__,
         "config": {k: v for k, v in vars(args).items() if k != "command"},
         "wall_time_s": extra.get("wall_time_s") if extra else None,
+        "peak_rss_mb": _peak_rss_mb(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     if extra:

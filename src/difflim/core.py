@@ -8,6 +8,7 @@ rates are computed in double precision.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -317,22 +318,61 @@ def _write_ledger_rows(w, ledger: JumpLedger, replicate: Optional[int]) -> None:
 
 
 def _require_columns(path, fieldnames, required) -> None:
-    """Reject a CSV whose header lacks any of the ``required`` columns."""
+    """Reject a CSV header that repeats a column name or lacks any of the
+    ``required`` columns."""
+    if len(set(fieldnames)) != len(fieldnames):
+        raise DataCorruptionError(f"{path}: header {fieldnames} repeats a column name")
     for column in required:
-        if column not in (fieldnames or ()):
+        if column not in fieldnames:
             raise DataCorruptionError(f"{path}: missing column {column!r} in header {fieldnames}")
 
 
+def _csv_rows(path, required) -> tuple[list, list]:
+    """The header and the (line, row) dicts of a UTF-8 CSV file whose header
+    has the ``required`` columns.  Bytes that are not UTF-8, a row with
+    more or fewer cells than the header, and anything the csv module
+    cannot parse raise DataCorruptionError naming the file and the line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataCorruptionError(f"{path}: line {line}: bytes that are not UTF-8 ({exc.reason})") from None
+    rdr = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(rdr, [])
+        _require_columns(path, header, required)
+        rows = []
+        for cells in rdr:
+            if not cells:
+                continue  # a blank line holds no row
+            if len(cells) != len(header):
+                raise DataCorruptionError(
+                    f"{path}: line {rdr.line_num}: {len(cells)} cells where the header has {len(header)}"
+                )
+            rows.append((rdr.line_num, dict(zip(header, cells))))
+    except csv.Error as exc:
+        raise DataCorruptionError(f"{path}: line {rdr.line_num}: {exc}") from None
+    return header, rows
+
+
+_INT64 = np.iinfo(np.int64)
+
+
 def _parse_cell(path, line: int, row: dict, column: str, kind=int):
-    """``kind(row[column])``; a bad or missing cell raises DataCorruptionError
-    naming the file, the line and the column."""
+    """``kind(row[column])``; a bad cell, or an int outside int64, raises
+    DataCorruptionError naming the file, the line and the column."""
     value = row[column]
     try:
-        return kind(value)
+        parsed = kind(value)
     except (TypeError, ValueError):
         raise DataCorruptionError(
             f"{path}: line {line}, column {column!r}: cannot read {value!r} as {kind.__name__}"
         ) from None
+    if kind is int and not _INT64.min <= parsed <= _INT64.max:
+        raise DataCorruptionError(f"{path}: line {line}, column {column!r}: {value!r} is outside int64")
+    return parsed
 
 
 def read_ledger_csv(path) -> JumpLedger:
@@ -342,15 +382,12 @@ def read_ledger_csv(path) -> JumpLedger:
     files with only frozen rows are rejected, and so are batch files (a
     leading ``replicate`` column), which hold several ledgers.
     """
-    with open(path, newline="") as fh:
-        rdr = csv.DictReader(fh)
-        _require_columns(path, rdr.fieldnames, LEDGER_FIELDS)
-        if "replicate" in rdr.fieldnames:
-            raise DataCorruptionError(
-                f"{path}: has a 'replicate' column, so it is a batch of ledgers; "
-                "read one replicate (simulate --split-files writes one file each)"
-            )
-        rows = [(rdr.line_num, row) for row in rdr]
+    fieldnames, rows = _csv_rows(path, LEDGER_FIELDS)
+    if "replicate" in fieldnames:
+        raise DataCorruptionError(
+            f"{path}: has a 'replicate' column, so it is a batch of ledgers; "
+            "read one replicate (simulate --split-files writes one file each)"
+        )
     if not rows:
         raise DataCorruptionError(f"{path}: empty ledger file")
     line1, first = rows[0]

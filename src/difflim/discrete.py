@@ -20,8 +20,8 @@ from .core import (
     ModelParams,
     RngStream,
     ValidationError,
+    _csv_rows,
     _parse_cell,
-    _require_columns,
     validate_params,
 )
 
@@ -439,17 +439,16 @@ def write_counts_csv(collection: Sequence[CountSeries], path, initial_rows: bool
 
 
 def read_counts_csv(path) -> list[CountSeries]:
-    with open(path, newline="") as fh:
-        rdr = csv.DictReader(fh)
-        _require_columns(path, rdr.fieldnames, ["instance_id", "t", "delta_c"])
-        has_dr = "delta_r" in rdr.fieldnames
-        by_id: dict[str, list] = {}
-        for row in rdr:
-            line = rdr.line_num
-            t = _parse_cell(path, line, row, "t")
-            dc = _parse_cell(path, line, row, "delta_c")
-            dr = _parse_cell(path, line, row, "delta_r") if has_dr and row["delta_r"] else None
-            by_id.setdefault(row["instance_id"], []).append((t, dc, dr, line))
+    fieldnames, rows = _csv_rows(path, ["instance_id", "t", "delta_c"])
+    has_dr = "delta_r" in fieldnames
+    by_id: dict[str, list] = {}
+    for line, row in rows:
+        t = _parse_cell(path, line, row, "t")
+        dc = _parse_cell(path, line, row, "delta_c")
+        dr = _parse_cell(path, line, row, "delta_r") if has_dr and row["delta_r"] else None
+        if dc < 0 or (dr is not None and dr < 0):
+            raise DataCorruptionError(f"{path}: line {line}: negative count (counts must be non-negative)")
+        by_id.setdefault(row["instance_id"], []).append((t, dc, dr, line))
     out = []
     for iid, rows in by_id.items():
         rows.sort(key=lambda r: r[0])

@@ -27,7 +27,7 @@ from .fisher import (
     highprob_rate_condition,
 )
 from .fluid import integrate, peak_bounds, peak_times
-from .simulate import simulate_paths
+from .simulate import ColumnTotals, path_slabs, simulate_paths
 
 
 class StudyAssertionError(AssertionError):
@@ -269,8 +269,19 @@ def coverage_study(config: StudyConfig) -> StudyResult:
     z = (n - m - c0) / n
 
     params = ModelParams(n=n, beta=beta, gamma=gamma, regime=Regime.SIR)
-    block = simulate_paths(params, i0, r0, m, RngStream(seed=config.seed), R)
-    beta_hat, gamma_hat, _ = _sir_estimators_from_block(block, i0, r0)
+    # The estimators need the final count and the column sums of the
+    # live-weighted I_{k-1} * T_k, reduced slab by slab.
+    s_tilde = ColumnTotals(m, R)
+    for k0, slab in path_slabs(params, i0, r0, m, RngStream(seed=config.seed), R):
+        t = np.where(slab.alive[:-1], slab.T, 0.0)
+        s_tilde.add(slab.infected[:-1] * t)
+        if k0 + slab.m == m:
+            c_m = slab.C[-1].copy()
+    a_hat = (c_m - c0) / m
+    b_hat = s_tilde.total() / m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta_hat = a_hat / b_hat
+        gamma_hat = 1.0 / b_hat - beta_hat
 
     b_lo, b_hi = rate_band(beta, delta, z)
     g_lo, g_hi = recovery_band(beta, gamma, delta, z)
@@ -299,19 +310,6 @@ def coverage_study(config: StudyConfig) -> StudyResult:
     return StudyResult(study="Coverage", rows=[row], summary={"pass_coverage": row["pass"]})
 
 
-def _sir_estimators_from_block(block, i0: int, r0: int):
-    """Vectorized (beta_hat, gamma_hat, s_tilde) over replicate columns."""
-    m = block.m
-    t = np.where(block.alive[:m], block.T, 0.0)
-    s_tilde = (block.infected[:m] * t).sum(axis=0)
-    a_hat = (block.C[m] - (i0 + r0)) / m
-    b_hat = s_tilde / m
-    with np.errstate(divide="ignore", invalid="ignore"):
-        beta_hat = a_hat / b_hat
-        gamma_hat = 1.0 / b_hat - beta_hat
-    return beta_hat, gamma_hat, s_tilde
-
-
 WALK_CHUNK_DOUBLES = 1 << 16
 
 
@@ -331,8 +329,10 @@ def dominance_study(config: StudyConfig) -> StudyResult:
         p_walk = compute_survival_threshold(beta, gamma).p
 
         rng = RngStream(seed=config.seed, stream_id=10_000 * idx)
-        alive_m = simulate_paths(params, i0, r0, m, rng, R).alive[m]
-        p_tau = float(1.0 - np.mean(alive_m))
+        # Only the final row, alive after m jumps, is read.
+        for k0, slab in path_slabs(params, i0, r0, m, rng, R):
+            if k0 + slab.m == m:
+                p_tau = float(1.0 - np.mean(slab.alive[-1]))
 
         # The walk is drawn in row chunks of at most WALK_CHUNK_DOUBLES
         # uniforms: the same stream, in the same row-major order, as one

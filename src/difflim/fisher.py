@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .core import ModelParams, RngStream, ValidationError, validate_params
-from .simulate import simulate_paths
+from .simulate import ColumnTotals, path_slabs
 
 # Replicates per lockstep chunk in fisher_sir_mc; chunk c uses stream
 # rng.substream(c).
@@ -146,14 +146,17 @@ def fisher_sir_mc(
         r = min(chunk, replicates - done)
         stream = rng.substream(n_chunks)
         streams.append([stream.seed, stream.stream_id])
-        block = simulate_paths(params, i0, r0, m, stream, r)
-        # C_{k-1} and E_{k-1} for k = 1..m are rows 0..m-1.
-        c_prev = block.C[:m].astype(float)
-        alive_prev = block.alive[:m]
-        contrib = np.where(alive_prev, sir_bracket(c_prev, n, beta, gamma), 0.0)
-        per_k_sum += contrib.sum(axis=1)
-        survival_sum += alive_prev.sum(axis=1)
-        totals.append(contrib.sum(axis=0))
+        chunk_totals = ColumnTotals(m, r)
+        for k0, slab in path_slabs(params, i0, r0, m, stream, r):
+            # C_{k-1} and E_{k-1} for k = k0+1..k1 are the slab's rows but its last.
+            rows = slice(k0, k0 + slab.m)
+            c_prev = slab.C[:-1].astype(float)
+            alive_prev = slab.alive[:-1]
+            contrib = np.where(alive_prev, sir_bracket(c_prev, n, beta, gamma), 0.0)
+            per_k_sum[rows] += contrib.sum(axis=1)
+            survival_sum[rows] += alive_prev.sum(axis=1)
+            chunk_totals.add(contrib)
+        totals.append(chunk_totals.total())
         done += r
         n_chunks += 1
 
@@ -206,13 +209,9 @@ def fisher_sir_exact(params: ModelParams, i0: int, r0: int, m: int) -> FisherRep
     return _finish("sir", n, m, i0, r0, per_k, survival=survival)
 
 
-# Doubles per array in a slab of rows of the score oracle (512 KB).
-_ORACLE_SLAB_DOUBLES = 1 << 16
-
-
-def _slab_loglik(block, k0: int, k1: int, beta: float, gamma: float, a: float):
-    """Jump log-likelihood terms of rows k0..k1-1 of a path block as a
-    function of n' (a = p*n held fixed): row k-1 holds
+def _slab_loglik(slab, beta: float, gamma: float, a: float):
+    """Jump log-likelihood terms of the steps of a path slab as a function
+    of n' (a = p*n held fixed): row k-1 holds
 
         log(lam) - lam*T_k  [+ log(eta) or log1p(-eta), gamma > 0]
 
@@ -222,13 +221,13 @@ def _slab_loglik(block, k0: int, k1: int, beta: float, gamma: float, a: float):
     arrays are computed once here; each call evaluates those float
     operations, in that order, in place in the slab's buffers and returns a
     view that the next call overwrites."""
-    c_prev = block.C[k0:k1].astype(float)
-    i_prev = block.infected[k0:k1].astype(float)
-    dead = ~block.alive[k0:k1]
-    t_obs = np.where(dead, 0.0, block.T[k0:k1])
+    c_prev = slab.C[:-1].astype(float)
+    i_prev = slab.infected[:-1].astype(float)
+    dead = ~slab.alive[:-1]
+    t_obs = np.where(dead, 0.0, slab.T)
     s, lam = np.empty_like(c_prev), np.empty_like(c_prev)
     if gamma > 0:
-        stepped = block.C[k0 + 1 : k1 + 1] > block.C[k0:k1]
+        stepped = slab.C[1:] > slab.C[:-1]
         gamma_i = gamma * i_prev
         beta_i_a = beta * i_prev + a
         num = np.empty_like(c_prev)
@@ -294,18 +293,14 @@ def score_variance_oracle(
     n_chunks = 0
     while done < replicates:
         r = min(chunk, replicates - done)
-        block = simulate_paths(params, i0, r0, m, rng.substream(1000 + n_chunks), r)
-        # A column's log-likelihood is a sum of per-row terms.  Rows are
-        # taken a cache-sized slab at a time and added in row order from
-        # 0.0, which is how sum(axis=0) adds them.
+        # A column's log-likelihood is a sum of per-row terms, added slab by
+        # slab in row order from 0.0.
         total_hi, total_lo = np.zeros(r), np.zeros(r)
-        rows = max(1, _ORACLE_SLAB_DOUBLES // max(r, 1))
-        for k0 in range(0, m, rows):
-            loglik = _slab_loglik(block, k0, min(k0 + rows, m), beta, gamma, a)
+        for _, slab in path_slabs(params, i0, r0, m, rng.substream(1000 + n_chunks), r):
+            loglik = _slab_loglik(slab, beta, gamma, a)
             for total, nprime in ((total_hi, n + h), (total_lo, n - h)):
                 for row in loglik(nprime):
                     total += row
-        del block
         score = (total_hi - total_lo) / (2.0 * h)
         scores.append(score)
         done += r

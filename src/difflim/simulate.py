@@ -196,7 +196,9 @@ def walk_stopping_time(walk: np.ndarray, i0: int, r0: int) -> Optional[int]:
 # Per step all replicates draw a holding time, then a jump type, so the
 # consumed stream is a fixed function of (seed, stream) alone.  The
 # uniforms are drawn in (K, 2, R) blocks: block[j, 0] and block[j, 1] are
-# the same draws as two successive random(R) calls for step k0 + j.
+# the same draws as two successive random(R) calls for step k0 + j.  Each
+# block becomes one slab of K rows, handed to the consumer before the next
+# block is drawn, so a reduction over rows never holds more than K rows.
 # ---------------------------------------------------------------------------
 
 # At most this many uniforms per (K, 2, R) block, i.e. 512 KB of doubles.
@@ -208,7 +210,11 @@ class PathBlock:
     """Columns are replicates.  T[k-1, r] is the k-th holding time (inf once
     stopped), C[k, r] the cumulative count after k jumps (frozen once
     stopped), alive[k, r] whether the process is still live after k jumps,
-    infected[k, r] the live infected count (0 once stopped)."""
+    infected[k, r] the live infected count (0 once stopped).
+
+    A slab from ``path_slabs`` is a PathBlock of the rows after k0 jumps:
+    T[j] is the (k0 + j + 1)-th holding time and C[j] the count after
+    k0 + j jumps."""
 
     T: np.ndarray
     C: np.ndarray
@@ -224,6 +230,32 @@ class PathBlock:
         return self.T.shape[1]
 
 
+class ColumnTotals:
+    """Column sums of an (m, R) array that arrives a slab of rows at a time,
+    bit-identical to ``array.sum(axis=0)``.  numpy adds the rows of an array
+    with more than one column in row order from 0.0, which ``add`` does; a
+    single column it sums pairwise, so that column is kept (m doubles) and
+    summed at the end."""
+
+    def __init__(self, m: int, replicates: int):
+        self._column = np.empty(m) if replicates == 1 else None
+        self._sum = np.zeros(replicates)
+        self._k = 0
+
+    def add(self, rows: np.ndarray) -> None:
+        if self._column is not None:
+            self._column[self._k : self._k + len(rows)] = rows[:, 0]
+            self._k += len(rows)
+            return
+        for row in rows:
+            self._sum += row
+
+    def total(self) -> np.ndarray:
+        if self._column is not None:
+            return np.array([self._column[: self._k].sum()])
+        return self._sum
+
+
 def simulate_paths(
     params: ModelParams,
     i0: int,
@@ -232,7 +264,37 @@ def simulate_paths(
     rng: RngStream,
     replicates: int,
 ) -> PathBlock:
-    """R = ``replicates`` independent paths of m jumps, simulated in lockstep.
+    """R = ``replicates`` independent paths of m jumps, simulated in lockstep:
+    the slabs of ``path_slabs`` collected into one block."""
+    slabs = path_slabs(params, i0, r0, m, rng, replicates)
+    R = replicates
+    T = np.empty((m, R))
+    C = np.empty((m + 1, R), dtype=np.int64)
+    alive = np.empty((m + 1, R), dtype=bool)
+    infected = np.empty((m + 1, R), dtype=np.int64)
+    for k0, slab in slabs:
+        rows = slice(k0, k0 + slab.m + 1)
+        T[k0 : k0 + slab.m] = slab.T
+        C[rows] = slab.C
+        alive[rows] = slab.alive
+        infected[rows] = slab.infected
+    return PathBlock(T=T, C=C, alive=alive, infected=infected)
+
+
+def path_slabs(
+    params: ModelParams,
+    i0: int,
+    r0: int,
+    m: int,
+    rng: RngStream,
+    replicates: int,
+):
+    """The paths of ``simulate_paths``, one slab of rows at a time: an
+    iterator of (k0, slab) with slab a PathBlock of rows k0..k1 (T rows
+    k0..k1-1), in order, covering rows 0..m; with m = 0 it is row 0 alone.
+    The slabs are views of buffers that the next slab overwrites, so a
+    consumer reads each one without writing to it and reduces or copies it
+    before asking for the next.
 
     Step k of every column computes the rate (beta*S/N)*I + p*S + gamma*I
     and the infection probability from the same float expressions as
@@ -240,41 +302,66 @@ def simulate_paths(
     stopped (i = 0 or i = n), or whose rate is zero, keeps its state and
     gets T = inf.  With gamma = 0 the counts are deterministic, so they are
     stepped once for all columns and only the holding times are drawn per
-    column.
+    column.  Once no column can jump, the frozen rows that remain are
+    handed out without drawing.
     """
+    # Not a generator itself, so that bad arguments raise at the call.
     validate_params(params)
     if i0 < 1:
         raise ValidationError("i0 must be >= 1")
-    n = float(params.n)
-    R = replicates
-    T = np.empty((m, R))
-    C = np.empty((m + 1, R), dtype=np.int64)
-    alive = np.empty((m + 1, R), dtype=bool)
-    infected = np.empty((m + 1, R), dtype=np.int64)
+    return _slabs(params, float(params.n), i0, r0, m, rng, replicates)
+
+
+def _slabs(params, n, i0, r0, m, rng, R):
+    K = max(1, _BLOCK_DOUBLES // max(2 * R, 1))
+    rows = min(K, m)
+    buf = PathBlock(
+        T=np.empty((rows, R)),
+        C=np.empty((rows + 1, R), dtype=np.int64),
+        alive=np.empty((rows + 1, R), dtype=bool),
+        infected=np.empty((rows + 1, R), dtype=np.int64),
+    )
     live = 0 < float(i0) < n
-    C[0] = int(i0 + r0)
-    alive[0] = live
-    infected[0] = int(i0) if live else 0
+    buf.C[0] = int(i0 + r0)
+    buf.alive[0] = live
+    buf.infected[0] = int(i0) if live else 0
+    if m == 0:
+        yield 0, buf
+        return
 
-    blocks = _uniform_blocks(rng.generator(), m, R)
+    blocks = _uniform_blocks(rng.generator(), m, R, K)
     if params.gamma == 0:
-        steps = _pure_adoption_steps(params, n, i0, r0, m, blocks, T, C, alive, infected)
+        steps = yield from _pure_adoption_slabs(params, n, i0, r0, m, blocks, buf)
     else:
-        steps = _lockstep_steps(params, n, i0, r0, blocks, T, C, alive, infected)
-    # Past the last simulated step no column can jump: the state is frozen.
-    T[steps:] = np.inf
-    C[steps + 1:] = C[steps]
-    alive[steps + 1:] = alive[steps]
-    infected[steps + 1:] = infected[steps]
-    return PathBlock(T=T, C=C, alive=alive, infected=infected)
+        steps = yield from _lockstep_slabs(params, n, i0, r0, blocks, buf)
+    # Row 0 of the buffer now holds the state after the last simulated
+    # step; no column can jump from it, so the remaining rows repeat it.
+    buf.T.fill(np.inf)
+    buf.C[1:] = buf.C[0]
+    buf.alive[1:] = buf.alive[0]
+    buf.infected[1:] = buf.infected[0]
+    for k0 in range(steps, m, rows):
+        yield k0, _head(buf, min(rows, m - k0))
 
 
-def _uniform_blocks(gen: np.random.Generator, m: int, R: int):
+def _head(buf: PathBlock, kb: int) -> PathBlock:
+    """The slab of the buffer's first kb steps."""
+    return PathBlock(T=buf.T[:kb], C=buf.C[: kb + 1], alive=buf.alive[: kb + 1], infected=buf.infected[: kb + 1])
+
+
+def _carry(buf: PathBlock, kb: int) -> None:
+    """Move the state after the slab's last step into row 0, the start of
+    the next slab."""
+    buf.C[0] = buf.C[kb]
+    buf.alive[0] = buf.alive[kb]
+    buf.infected[0] = buf.infected[kb]
+
+
+def _uniform_blocks(gen: np.random.Generator, m: int, R: int, K: int):
     """Yield (k0, U) with U of shape (K, 2, R): U[j, 0] is the holding-time
     and U[j, 1] the jump-type uniform of step k0 + j + 1.  U is one reused
     buffer, overwritten by the next block; a consumer that stops early
     leaves the rest of the stream undrawn."""
-    K = max(1, _BLOCK_DOUBLES // max(2 * R, 1))
     buf = np.empty((min(K, m), 2, R))
     for k0 in range(0, m, K):
         u = buf[: min(K, m - k0)]
@@ -292,7 +379,7 @@ def _exp_holding_numerators(u_time: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pure_adoption_steps(params, n, i0, r0, m, blocks, T, C, alive, infected) -> int:
+def _pure_adoption_slabs(params, n, i0, r0, m, blocks, buf):
     """gamma = 0: the infection probability is num / (num + 0) = num / num,
     exactly 1 (above every uniform in [0, 1)) unless num is 0 or inf, where
     it is NaN (below none).  So every column follows one count path, stepped
@@ -304,6 +391,9 @@ def _pure_adoption_steps(params, n, i0, r0, m, blocks, T, C, alive, infected) ->
     s, i, rr = n - i0 - r0, float(i0), float(r0)
     live = 0 < i < n
     lam = np.empty(m)
+    counts = np.empty(m + 1, dtype=np.int64)
+    alive = np.empty(m + 1, dtype=bool)
+    infected = np.empty(m + 1, dtype=np.int64)
     steps = 0
     for k in range(1, m + 1):
         rate = (beta * s / n) * i + p * s + gamma * i
@@ -316,7 +406,7 @@ def _pure_adoption_steps(params, n, i0, r0, m, blocks, T, C, alive, infected) ->
             i, rr = i - 1.0, rr + 1.0
         live = 0 < i < n
         lam[k - 1] = rate
-        C[k] = int(i + rr)
+        counts[k] = int(i + rr)
         alive[k] = live
         infected[k] = int(i) if live else 0
         steps = k
@@ -324,41 +414,50 @@ def _pure_adoption_steps(params, n, i0, r0, m, blocks, T, C, alive, infected) ->
         k1 = min(k0 + len(u), steps)
         if k1 <= k0:
             break
-        t = _exp_holding_numerators(u[: k1 - k0, 0], T[k0:k1])
+        kb = k1 - k0
+        t = _exp_holding_numerators(u[:kb, 0], buf.T[:kb])
         t /= lam[k0:k1, None]
+        after = slice(k0 + 1, k1 + 1)
+        buf.C[1 : kb + 1] = counts[after, None]
+        buf.alive[1 : kb + 1] = alive[after, None]
+        buf.infected[1 : kb + 1] = infected[after, None]
+        yield k0, _head(buf, kb)
+        _carry(buf, kb)
     return steps
 
 
-def _lockstep_steps(params, n, i0, r0, blocks, T, C, alive, infected) -> int:
+def _lockstep_slabs(params, n, i0, r0, blocks, buf):
     """gamma > 0: every column stepped in place, one block of K steps at a
     time.  Rates, holding-time numerators and per-step flags of a block are
     kept in (K, R) buffers, so T and the infected counts are written once
     per block.  Stops drawing once no column is live.  Returns the number
     of steps simulated."""
     beta, gamma, p = params.beta, params.gamma, params.p
-    R = T.shape[1]
+    T, C, alive, infected = buf.T, buf.C, buf.alive, buf.infected
+    K, R = T.shape
     pn, ngamma = p * n, n * gamma
     s = np.full(R, n - i0 - r0, dtype=float)
     tmp, num = np.empty(R), np.empty(R)
     down, flag = np.empty(R, dtype=bool), np.empty(R, dtype=bool)
+    e, lam = np.empty((K, R)), np.empty((K, R))
+    stay, ups = np.empty((K, R), dtype=bool), np.empty((K, R), dtype=bool)
+    i = np.empty((K + 1, R))  # i[j]: infected before step k0 + j + 1
+    i[0] = float(i0)
     steps = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k0, u in blocks:
-            kb = len(u)
-            if not alive[k0].any():
-                break
-            if k0 == 0:
-                e, lam = np.empty((kb, R)), np.empty((kb, R))
-                stay, ups = np.empty((kb, R), dtype=bool), np.empty((kb, R), dtype=bool)
-                i = np.empty((kb + 1, R))  # i[j]: infected before step k0 + j + 1
-                i[0] = float(i0)
+    for k0, u in blocks:
+        kb = len(u)
+        if not alive[0].any():
+            break
+        # The errstate is entered and left within the block, never across
+        # a yield, so the consumer's code does not run under it.
+        with np.errstate(divide="ignore", invalid="ignore"):
             _exp_holding_numerators(u[:, 0], e[:kb])
             for j in range(kb):
                 k = k0 + j + 1
                 # lam = (beta*s/n)*i + p*s + gamma*i, term by term.  With
                 # p = 0 the p*s and p*n terms are +-0.0, and adding them
                 # changes no bit, so they are left out.
-                lj, ok, up, now = lam[j], stay[j], ups[j], alive[k]
+                lj, ok, up, now = lam[j], stay[j], ups[j], alive[j + 1]
                 np.multiply(s, beta, out=lj)
                 lj /= n
                 lj *= i[j]
@@ -368,7 +467,7 @@ def _lockstep_steps(params, n, i0, r0, blocks, T, C, alive, infected) -> int:
                 np.multiply(i[j], gamma, out=tmp)
                 lj += tmp
                 np.greater(lj, 0.0, out=ok)
-                ok &= alive[k - 1]
+                ok &= alive[j]
                 # p_inf = num / (num + (n*gamma)*i), num = s*(beta*i + p*n).
                 np.multiply(i[j], beta, out=tmp)
                 if p:
@@ -385,21 +484,21 @@ def _lockstep_steps(params, n, i0, r0, blocks, T, C, alive, infected) -> int:
                 i[j + 1] -= down
                 # After k jumps i0 - k <= i <= i0 + k, so a bound that cannot
                 # be reached yet is not tested.
-                now[:] = alive[k - 1]
+                now[:] = alive[j]
                 if k >= i0:
                     np.greater(i[j + 1], 0.0, out=flag)
                     now &= flag
                 if i0 + k >= n:
                     np.less(i[j + 1], n, out=flag)
                     now &= flag
-            rows = slice(k0, k0 + kb)
-            np.divide(e[:kb], lam[:kb], out=T[rows])
+            np.divide(e[:kb], lam[:kb], out=T[:kb])
             np.logical_not(stay[:kb], out=stay[:kb])
-            np.copyto(T[rows], np.inf, where=stay[:kb])
-            after = slice(k0 + 1, k0 + kb + 1)
-            np.cumsum(ups[:kb], axis=0, out=C[after])
-            C[after] += C[k0]
-            np.multiply(i[1 : kb + 1], alive[after], out=infected[after], casting="unsafe")
-            i[0] = i[kb]
-            steps = k0 + kb
+            np.copyto(T[:kb], np.inf, where=stay[:kb])
+        np.cumsum(ups[:kb], axis=0, out=C[1 : kb + 1])
+        C[1 : kb + 1] += C[0]
+        np.multiply(i[1 : kb + 1], alive[1 : kb + 1], out=infected[1 : kb + 1], casting="unsafe")
+        i[0] = i[kb]
+        steps = k0 + kb
+        yield k0, _head(buf, kb)
+        _carry(buf, kb)
     return steps

@@ -6,6 +6,12 @@ production code against:
   twice and rebuilds the state through np.where temporaries.
 - ``reference_score_variance_oracle``: ``difflim.fisher.score_variance_oracle``
   before it computed the n'-free terms once per block.
+- ``reference_fisher_sir_mc``, ``reference_dominance_study`` and
+  ``reference_coverage_study``: ``difflim.fisher.fisher_sir_mc`` and the
+  Dominance and Coverage studies as they were before they reduced the
+  slabs of ``difflim.simulate.path_slabs``: each materializes the whole
+  ``simulate_paths`` block of a chunk and reduces it with whole-array
+  numpy calls.
 - ``reference_fit_mle``: ``difflim.discrete.fit_mle`` as a seeded
   multi-start Nelder-Mead search over (a, beta, log n).
 - ``reference_mle_population_bass``: ``difflim.experiments.mle_population_bass``
@@ -17,8 +23,11 @@ import math
 
 import numpy as np
 
-from difflim.core import ModelParams, RngStream, ValidationError, validate_params
+from difflim.core import ModelParams, Regime, RngStream, ValidationError, validate_params
 from difflim.discrete import FitResult, _rollout, loglik
+from difflim.estimate import rate_band, recovery_band
+from difflim.experiments import StudyResult
+from difflim.fisher import _finish, compute_survival_threshold, highprob_rate_condition, sir_bracket
 from difflim.simulate import PathBlock, simulate_paths
 
 
@@ -112,6 +121,105 @@ def reference_score_variance_oracle(params, i0, r0, m, replicates, rng, h=None, 
     mu4 = float(np.mean(centered ** 4))
     var_of_var = max(mu4 - j_est ** 2, 0.0) / len(scores)
     return j_est, math.sqrt(var_of_var)
+
+
+def reference_fisher_sir_mc(params, i0, r0, m, replicates, rng, chunk=4096):
+    validate_params(params)
+    n, beta, gamma = params.n, params.beta, params.gamma
+    per_k_sum = np.zeros(m)
+    survival_sum = np.zeros(m)
+    totals = []
+    streams = []
+    done = 0
+    n_chunks = 0
+    while done < replicates:
+        r = min(chunk, replicates - done)
+        stream = rng.substream(n_chunks)
+        streams.append([stream.seed, stream.stream_id])
+        block = simulate_paths(params, i0, r0, m, stream, r)
+        c_prev = block.C[:m].astype(float)
+        alive_prev = block.alive[:m]
+        contrib = np.where(alive_prev, sir_bracket(c_prev, n, beta, gamma), 0.0)
+        per_k_sum += contrib.sum(axis=1)
+        survival_sum += alive_prev.sum(axis=1)
+        totals.append(contrib.sum(axis=0))
+        done += r
+        n_chunks += 1
+    totals = np.concatenate(totals)
+    per_k = per_k_sum / replicates
+    survival = survival_sum / replicates
+    stderr = float(np.std(totals, ddof=1) / math.sqrt(replicates))
+    return _finish(
+        "sir", n, m, i0, r0, per_k,
+        survival=survival, mc_replicates=replicates, mc_stderr=stderr,
+        work={"path_steps": m * replicates, "chunks": n_chunks, "rng_streams": streams},
+    )
+
+
+def reference_dominance_study(config, walk_chunk_doubles=1 << 16):
+    rows = []
+    R = config.replicates
+    for idx, pt in enumerate(config.grid["points"]):
+        n, m = pt["n"], pt["m"]
+        i0, r0 = pt.get("i0", 1), pt.get("r0", 0)
+        beta, gamma = pt.get("beta", 0.5), pt.get("gamma", 0.25)
+        params = ModelParams(n=n, beta=beta, gamma=gamma, regime=Regime.SIR)
+        if not highprob_rate_condition(params, m, i0 + r0):
+            raise ValidationError(f"point {pt} violates the rate condition")
+        p_walk = compute_survival_threshold(beta, gamma).p
+        rng = RngStream(seed=config.seed, stream_id=10_000 * idx)
+        alive_m = simulate_paths(params, i0, r0, m, rng, R).alive[m]
+        p_tau = float(1.0 - np.mean(alive_m))
+        gen = rng.substream(1).generator()
+        ks = np.arange(1, m + 1)
+        chunk = max(1, walk_chunk_doubles // m)
+        stopped = np.empty(R, dtype=bool)
+        for start in range(0, R, chunk):
+            stop = min(start + chunk, R)
+            walk = i0 + r0 + np.cumsum(gen.random((stop - start, m)) < p_walk, axis=1, dtype=np.int64)
+            stopped[start:stop] = np.any(2 * walk <= i0 + ks[None, :] + 2 * r0, axis=1)
+        p_tau_walk = float(np.mean(stopped))
+        sigma = math.sqrt(max(p_tau_walk * (1 - p_tau_walk), 0.25 / R) / R)
+        rows.append({
+            "n": n, "m": m, "i0": i0, "beta": beta, "gamma": gamma, "p_walk": p_walk,
+            "replicates": R, "p_tau": p_tau, "p_tau_walk": p_tau_walk, "slack": 3.0 * sigma,
+            "pass": bool(p_tau <= p_tau_walk + 3.0 * sigma),
+        })
+    return StudyResult(study="Dominance", rows=rows, summary={"pass_all": all(r["pass"] for r in rows)})
+
+
+def reference_coverage_study(config):
+    g = config.grid
+    n, m = g["n"], g["m"]
+    beta, gamma = g.get("beta", 0.5), g.get("gamma", 0.25)
+    i0 = g.get("i0") or math.ceil(compute_survival_threshold(beta, gamma).d)
+    r0 = g.get("r0", 0)
+    c0 = i0 + r0
+    R = config.replicates
+    delta = math.sqrt(5.0 * math.log(m) / m)
+    z = (n - m - c0) / n
+    params = ModelParams(n=n, beta=beta, gamma=gamma, regime=Regime.SIR)
+    block = simulate_paths(params, i0, r0, m, RngStream(seed=config.seed), R)
+    t = np.where(block.alive[:m], block.T, 0.0)
+    s_tilde = (block.infected[:m] * t).sum(axis=0)
+    a_hat = (block.C[m] - (i0 + r0)) / m
+    b_hat = s_tilde / m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta_hat = a_hat / b_hat
+        gamma_hat = 1.0 / b_hat - beta_hat
+    b_lo, b_hi = rate_band(beta, delta, z)
+    g_lo, g_hi = recovery_band(beta, gamma, delta, z)
+    covered = (beta_hat >= b_lo) & (beta_hat <= b_hi) & (gamma_hat >= g_lo) & (gamma_hat <= g_hi)
+    coverage = float(np.mean(covered))
+    thr = compute_survival_threshold(beta, gamma)
+    label = max(1.0 - 8.0 / m - 2.0 * thr.c1 * math.exp(-thr.c2 * i0), 0.0)
+    sigma = math.sqrt(max(label * (1 - label), 0.25 / R) / R)
+    threshold = label - 3.0 * sigma
+    row = {
+        "n": n, "m": m, "i0": i0, "beta": beta, "gamma": gamma, "delta": delta, "replicates": R,
+        "coverage": coverage, "label": label, "threshold": threshold, "pass": bool(coverage >= threshold),
+    }
+    return StudyResult(study="Coverage", rows=[row], summary={"pass_coverage": row["pass"]})
 
 
 def reference_fit_mle(

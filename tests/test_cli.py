@@ -121,6 +121,7 @@ def test_fisher_report_json(tmp_path):
     assert obj["mc_replicates"] == 500
     meta = json.loads((tmp_path / "fisher.json.meta.json").read_text())
     assert isinstance(meta["wall_time_s"], float)
+    assert isinstance(meta["peak_rss_mb"], float) and meta["peak_rss_mb"] > 0
     assert meta["path_steps"] == 30 * 500
     assert meta["chunks"] == 1
     assert meta["rng_streams"] == [[2, 0]]
@@ -372,6 +373,24 @@ def _set_cell(path, line_no, column, value):
     path.write_text("\n".join(",".join(row) for row in lines) + "\n")
 
 
+def _set_bytes(path, line_no, column, value: bytes):
+    lines = [line.split(b",") for line in path.read_bytes().splitlines()]
+    lines[line_no - 1][lines[0].index(column.encode())] = value
+    path.write_bytes(b"\n".join(b",".join(row) for row in lines) + b"\n")
+
+
+def _repeat_column(path, column):
+    lines = [line.split(",") for line in path.read_text().splitlines()]
+    j = lines[0].index(column)
+    path.write_text("\n".join(",".join(row + [row[j]]) for row in lines) + "\n")
+
+
+def _truncate_line(path, line_no, cells):
+    lines = path.read_text().splitlines()
+    lines[line_no - 1] = ",".join(lines[line_no - 1].split(",")[:cells])
+    path.write_text("\n".join(lines) + "\n")
+
+
 @pytest.mark.parametrize(
     "make, edit, command, needle",
     [
@@ -391,10 +410,30 @@ def _set_cell(path, line_no, column, value):
          ["fit", "--gamma", "0.25", "--n-max", "1e6"], "line 5, instance r1: epoch t=4"),
         (_batch_ledger_csv, lambda p: None,
          ["estimate", "--model", "sir"], "'replicate' column"),
+        (_ledger_csv, lambda p: _set_bytes(p, 4, "t", b"0.1\xff"),
+         ["estimate", "--model", "sir"], "line 4: bytes that are not UTF-8"),
+        (_counts_csv, lambda p: _set_bytes(p, 6, "delta_c", b"\xfe"),
+         ["fit", "--gamma", "0.25", "--n-max", "1e6"], "line 6: bytes that are not UTF-8"),
+        (_counts_csv, lambda p: _set_bytes(p, 2, "instance_id", b"r\xc3"),
+         ["peaks", "--gamma1", "0.5", "--t", "60"], "line 2: bytes that are not UTF-8"),
+        (_counts_csv, lambda p: _set_cell(p, 7, "delta_c", "99999999999999999999999"),
+         ["fit", "--gamma", "0.25", "--n-max", "1e6"], "line 7, column 'delta_c': '99999999999999999999999' is outside int64"),
+        (_ledger_csv, lambda p: _set_cell(p, 3, "S", "99999999999999999999999"),
+         ["estimate", "--model", "sir"], "line 3, column 'S'"),
+        (_counts_csv, lambda p: _set_cell(p, 5, "delta_c", "-3"),
+         ["fit", "--gamma", "0.25", "--n-max", "1e6"], "line 5: negative count"),
+        (_counts_csv, lambda p: _truncate_line(p, 4, 3),
+         ["fit", "--gamma", "0.25", "--n-max", "1e6"], "line 4: 3 cells where the header has 4"),
+        (_ledger_csv, lambda p: _set_cell(p, 6, "C", "9,9"),
+         ["estimate", "--model", "sir"], "line 6: 9 cells where the header has 8"),
+        (_counts_csv, lambda p: _repeat_column(p, "delta_c"),
+         ["fit", "--gamma", "0.25", "--n-max", "1e6"], "repeats a column name"),
     ],
     ids=[
         "fit-no-delta_c", "peaks-no-delta_c", "peaks-float-cell", "estimate-no-S", "estimate-bad-cell",
         "estimate-negative-S", "fit-epoch-gap", "estimate-batch-ledger",
+        "estimate-not-utf8", "fit-not-utf8", "peaks-not-utf8", "fit-beyond-int64", "estimate-beyond-int64",
+        "fit-negative-delta_c", "fit-short-row", "estimate-long-row", "fit-repeated-column",
     ],
 )
 def test_malformed_csv_is_a_data_error(tmp_path, capsys, make, edit, command, needle):

@@ -265,3 +265,41 @@ def test_dominance_walk_chunks_match_one_draw():
     walk = pt["i0"] + np.cumsum((gen.random((R, pt["m"])) < compute_survival_threshold(0.5, 0.25).p), axis=1)
     stopped = np.any(2 * walk <= pt["i0"] + np.arange(1, pt["m"] + 1)[None, :], axis=1)
     assert row["p_tau_walk"] == float(np.mean(stopped))
+
+
+@pytest.mark.parametrize("R", [1, 300])
+def test_dominance_rows_match_materializing_reference(R):
+    from reference_kernels import reference_dominance_study
+
+    points = [
+        {"n": 10_000, "m": 1_000, "i0": 1},
+        {"n": 20_000, "m": 2_000, "i0": 4, "beta": 0.6, "gamma": 0.2},
+        {"n": 5_000, "m": 300, "i0": 2, "r0": 3},
+    ]
+    cfg = StudyConfig("Dominance", {"points": points}, replicates=R, seed=13)
+    got, want = run_study(cfg), reference_dominance_study(cfg)
+    assert got.rows == want.rows and got.summary == want.summary
+
+
+@pytest.mark.parametrize(
+    "grid, R",
+    [({"n": 1e5, "m": 300}, 1000), ({"n": 1e5, "m": 300}, 1), ({"n": 2000, "m": 300, "i0": 2}, 500)],
+    ids=["workload-size", "one-replicate", "extinction"],
+)
+def test_coverage_rows_match_materializing_reference(grid, R):
+    from reference_kernels import reference_coverage_study
+
+    cfg = StudyConfig("Coverage", grid, replicates=R, seed=17)
+    got, want = run_study(cfg), reference_coverage_study(cfg)
+    assert got.rows == want.rows and got.summary == want.summary
+
+
+def test_dominance_memory_stays_below_one_path_array():
+    """One Dominance point of the benchmark's size peaks far below one
+    m x R float array."""
+    from test_fisher import traced_peak_bytes
+
+    pt = {"n": 20_000, "m": 2_000, "i0": 4, "beta": 0.6, "gamma": 0.2}
+    R = 2500
+    cfg = StudyConfig("Dominance", {"points": [pt]}, replicates=R, seed=1)
+    assert traced_peak_bytes(lambda: run_study(cfg)) < 8 * pt["m"] * R / 4

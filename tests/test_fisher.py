@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from difflim.core import ModelParams, Regime, RngStream, ValidationError
 from difflim.fisher import (
+    MC_CHUNK,
     compute_survival_threshold,
     cramer_rao_rel_error,
     fisher_bass,
@@ -14,7 +16,7 @@ from difflim.fisher import (
     score_variance_oracle,
     sir_bracket,
 )
-from reference_kernels import reference_score_variance_oracle
+from reference_kernels import reference_fisher_sir_mc, reference_score_variance_oracle
 
 SIR_SMALL = ModelParams(n=200, beta=0.5, gamma=0.25, regime=Regime.SIR)
 
@@ -178,6 +180,57 @@ def test_score_oracle_matches_reference_bit_for_bit(params, i0, r0, m, reps, chu
     got = score_variance_oracle(params, i0, r0, m, reps, rng, chunk=chunk)
     want = reference_score_variance_oracle(params, i0, r0, m, reps, rng, chunk=chunk)
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "params, i0, r0, m, reps, chunk",
+    [
+        (ModelParams(n=1e4, beta=0.5, gamma=0.25, regime=Regime.SIR), 82, 0, 465, 2000, MC_CHUNK),
+        # Two chunks, the second of one column.
+        (ModelParams(n=500, beta=0.5, gamma=0.25, regime=Regime.SIR), 10, 0, 40, MC_CHUNK + 1, MC_CHUNK),
+        (ModelParams(n=200, beta=0.5, gamma=0.4, regime=Regime.SIR), 1, 0, 80, 700, 300),
+        (ModelParams(n=300, beta=0.6, gamma=0.2, regime=Regime.SIR), 3, 2, 120, 150, MC_CHUNK),
+        # gamma = 0: one count path, which fills the population at step 27.
+        (ModelParams(n=30, beta=0.5, gamma=0.0, p=0.0, regime=Regime.SIR), 3, 0, 40, 200, MC_CHUNK),
+    ],
+    ids=["workload-size", "beyond-one-chunk", "extinction", "r0", "gamma0-fills-population"],
+)
+# Both versions evaluate the bracket at c = n once the population is full,
+# and mask it out.
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+def test_fisher_sir_mc_matches_materializing_reference(params, i0, r0, m, reps, chunk):
+    """Reducing slab by slab gives the very report of reducing whole blocks."""
+    rng = RngStream(seed=9, stream_id=4)
+    got = fisher_sir_mc(params, i0, r0, m, reps, rng, chunk=chunk)
+    want = reference_fisher_sir_mc(params, i0, r0, m, reps, rng, chunk=chunk)
+    assert np.array_equal(got.per_k, want.per_k) and np.array_equal(got.survival, want.survival)
+    assert got.to_json_dict() == want.to_json_dict() and got.work == want.work
+
+
+def traced_peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fisher_sir_mc_memory_stays_below_one_path_array():
+    """At the README size (n = 1e5, m = 2155, R = 2000) the reduction peaks
+    far below one m x R float array, which the block it replaced held
+    several of."""
+    m, reps = 2155, 2000
+    params = ModelParams(n=1e5, beta=0.5, gamma=0.25, regime=Regime.SIR)
+    peak = traced_peak_bytes(lambda: fisher_sir_mc(params, 82, 0, m, reps, RngStream(seed=1)))
+    assert peak < 8 * m * reps / 4
+
+
+def test_score_oracle_memory_stays_below_one_path_array():
+    m, reps = 464, 20_000
+    params = ModelParams(n=1e4, beta=0.5, gamma=0.0, p=1e-4, regime=Regime.BASS)
+    peak = traced_peak_bytes(lambda: score_variance_oracle(params, 1, 0, m, reps, RngStream(seed=1, stream_id=1)))
+    assert peak < 8 * m * reps / 4
 
 
 def test_survival_threshold_values():

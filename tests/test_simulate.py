@@ -17,11 +17,13 @@ from difflim.core import (
 from difflim import simulate
 from difflim.simulate import (
     TERMINATED,
+    ColumnTotals,
     SimSpec,
     dominated_walk,
     infection_probability,
     jump_rate,
     next_jump,
+    path_slabs,
     simulate_batch,
     simulate_ledger,
     simulate_paths,
@@ -322,6 +324,53 @@ def test_simulate_paths_matches_reference_loop(case):
     for name in ("T", "C", "alive", "infected"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_path_slabs_concatenate_to_the_block(case):
+    """The slabs cover rows 0..m in order, each at most one uniform block
+    of steps and each starting on the row the one before ended on; copied
+    as they come and stacked, they are the reference loop's block and the
+    block simulate_paths collects."""
+    params, i0, r0, m, reps = PARITY_CASES[case]
+    rng = RngStream(seed=7, stream_id=3)
+    K = max(1, simulate._BLOCK_DOUBLES // (2 * reps))
+    pieces = {"T": [], "C": [], "alive": [], "infected": []}
+    end = 0
+    for k0, slab in path_slabs(params, i0, r0, m, rng, reps):
+        assert k0 == end and slab.m <= K and slab.replicates == reps
+        for name in ("C", "alive", "infected"):
+            rows = getattr(slab, name)
+            assert rows.shape == (slab.m + 1, reps)
+            if k0:
+                assert np.array_equal(rows[0], pieces[name][-1][-1]), name
+            pieces[name].append(rows[1:].copy() if k0 else rows.copy())
+        pieces["T"].append(slab.T.copy())
+        end = k0 + slab.m
+    assert end == m
+    stacked = {name: np.concatenate(rows) for name, rows in pieces.items()}
+    want = reference_simulate_paths(params, i0, r0, m, rng, reps)
+    collected = simulate_paths(params, i0, r0, m, rng, reps)
+    for name, rows in stacked.items():
+        for block in (want, collected):
+            other = getattr(block, name)
+            assert rows.dtype == other.dtype and np.array_equal(rows, other), name
+
+
+@pytest.mark.parametrize("R", [1, 2, 7, 300])
+def test_column_totals_match_sum_over_rows(R):
+    """Fed a slab of rows at a time, ColumnTotals gives the bits of
+    sum(axis=0): rows added in order for R > 1, one column pairwise."""
+    gen = np.random.default_rng(R)
+    m = 3000
+    a = gen.standard_normal((m, R)) * np.exp(4.0 * gen.standard_normal((m, R)))
+    acc = ColumnTotals(m, R)
+    k = 0
+    for size in [0, 1, 7, 64, 1000] * 4:
+        acc.add(a[k : k + size])
+        k += size
+    acc.add(a[k:])
+    assert np.array_equal(acc.total(), a.sum(axis=0))
 
 
 @pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
