@@ -118,16 +118,31 @@ def _rollout(series: CountSeries, n: float, gamma: float):
     return s, i, imputed
 
 
+def _lgamma(v: float) -> float:
+    """math.lgamma with scipy.special.gammaln's values where the two
+    differ: +inf at the poles 0, -1, -2, ... and on overflow, -inf at -inf."""
+    if v == -math.inf:
+        return v
+    try:
+        return math.lgamma(v)
+    except (ValueError, OverflowError):
+        return math.inf
+
+
+def _log_factorial(x: np.ndarray) -> np.ndarray:
+    """log x! = lgamma(x + 1), element-wise."""
+    x = np.asarray(x, dtype=float)
+    return np.array([_lgamma(v) for v in (x + 1.0).ravel().tolist()]).reshape(x.shape)
+
+
 def poisson_logpmf(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """log p(x; lam) with the conventions p(0; 0) = 1 and p(x>0; 0) = 0."""
-    from scipy.special import gammaln
-
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
     out = np.full(np.broadcast(x, lam).shape, -np.inf)
     pos = lam > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = x * np.log(lam) - lam - gammaln(x + 1.0)
+        vals = x * np.log(lam) - lam - _log_factorial(x)
     out = np.where(pos, vals, out)
     out = np.where((lam == 0) & (x == 0), 0.0, out)
     return out
@@ -288,8 +303,6 @@ def fit_mle(
     final inner solve met its tolerance and that loglik is finite.
     Deterministic; ``cfg.starts`` and ``cfg.seed`` are ignored.
     """
-    from scipy.special import gammaln
-
     if series.delta_c.sum() <= 0:
         raise ValidationError("series has no positive counts")
     n_lo = max(series.c_total, 1.0)
@@ -302,7 +315,7 @@ def fit_mle(
     k = series.i_init + series.r_init + np.concatenate(([0.0], np.cumsum(x)[:-1]))
     pos = x > 0
     xp, ip, kp = x[pos], i_prev[pos], k[pos]
-    const = float(np.sum(gammaln(xp + 1.0)))
+    const = float(np.sum(_log_factorial(xp)))
     hi = np.array([cfg.a_max if cfg.fit_a else 0.0, cfg.beta_max])
     cold = 0.5 * hi
     warm = cold

@@ -105,9 +105,12 @@ def fisher_bass(n: float, i0: int, m: int, shifted: bool = False) -> FisherRepor
 
 
 def sir_bracket(c, n: float, beta: float, gamma: float):
-    """Per-jump information contribution at live cumulative count c."""
+    """Per-jump information contribution at live cumulative count c.  At
+    c = n, where no path is live, it is inf without a warning; callers
+    mask those entries."""
     c = np.asarray(c, dtype=float)
-    return c ** 2 / (n ** 2 * (n - c) * (n - c + (gamma / beta) * n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return c ** 2 / (n ** 2 * (n - c) * (n - c + (gamma / beta) * n))
 
 
 def fisher_sir_mc(

@@ -19,6 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import _dop853
 from .core import ModelParams, ValidationError, validate_params
 
 
@@ -66,47 +67,33 @@ def integrate(
     tol: float = 1e-10,
     samples: int = 1001,
 ) -> FluidTrajectory:
-    """Adaptive high-order Runge-Kutta integration of the mean-field system.
+    """Adaptive Dormand-Prince 8(5,3) integration of the mean-field system.
 
-    Preconditions: s0 + i0 + r0 = n (to float tolerance), t_max > 0,
-    tol > 0.  The returned grid is uniform with ``samples`` points; the
+    Preconditions: s0 + i0 + r0 = n (to float tolerance), t_max and tol
+    positive and finite.  The returned grid is uniform with ``samples`` points; the
     dense interpolant is kept for marker refinement.
     """
-    from scipy.integrate import solve_ivp
-
     validate_params(params)
     n = params.n
     if abs(s0 + i0 + r0 - n) > 1e-9 * n:
         raise ValidationError("s0 + i0 + r0 must equal n")
     if t_max is None:
         t_max = default_t_max(params)
-    if t_max <= 0 or tol <= 0:
-        raise ValidationError("t_max and tol must be positive")
+    if not (0 < t_max < math.inf and 0 < tol < math.inf):
+        raise ValidationError("t_max and tol must be positive and finite")
 
     beta, gamma, p = params.beta, params.gamma, params.p
 
     def rhs(_t, y):
         xs, xi_, _xr, _xc, _exposure = y
         force = beta * xs * xi_ + p * xs
-        return (-force, force - gamma * xi_, gamma * xi_, force, beta * xi_)
+        return np.array((-force, force - gamma * xi_, gamma * xi_, force, beta * xi_))
 
     y0 = np.array([s0 / n, i0 / n, r0 / n, (i0 + r0) / n, 0.0])
     atol = max(tol * 1e-3 * max(i0 / n, 1e-16), 1e-300)
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_max),
-        y0,
-        method="DOP853",
-        rtol=tol,
-        atol=atol,
-        dense_output=True,
-    )
-    if not sol.success:
-        raise ArithmeticError(
-            f"integration failed at t={sol.t[-1]:.6g}: {sol.message}"
-        )
+    dense = _dop853.solve(rhs, y0, t_max, rtol=tol, atol=atol)
     ts = np.linspace(0.0, t_max, samples)
-    ys = sol.sol(ts)
+    ys = dense(ts)
     return FluidTrajectory(
         params=params,
         s0=s0,
@@ -118,7 +105,7 @@ def integrate(
         r=ys[2] * n,
         c=ys[3] * n,
         xi=ys[4],
-        _dense=sol.sol,
+        _dense=dense,
     )
 
 

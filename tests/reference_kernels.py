@@ -17,6 +17,8 @@ production code against:
 - ``reference_mle_population_bass``: ``difflim.experiments.mle_population_bass``
   as one golden-section search per replicate, with its loglik scan
   ``reference_bass_loglik_scan``.
+- ``reference_integrate``: ``difflim.fluid.integrate`` on scipy's
+  ``solve_ivp(method="DOP853", dense_output=True)``.
 """
 
 import math
@@ -28,6 +30,7 @@ from difflim.discrete import FitResult, _rollout, loglik
 from difflim.estimate import rate_band, recovery_band
 from difflim.experiments import StudyResult
 from difflim.fisher import _finish, compute_survival_threshold, highprob_rate_condition, sir_bracket
+from difflim.fluid import FluidTrajectory, default_t_max
 from difflim.simulate import PathBlock, simulate_paths
 
 
@@ -331,3 +334,36 @@ def reference_mle_population_bass(t_col, i0, beta, a, upper_factor=1e3):
         return reference_bass_loglik_scan(t_col, i0, beta, a, np.array([math.exp(log_n)]))[0]
 
     return math.exp(_reference_golden_max(f, lo_j, hi_j))
+
+
+def reference_integrate(params, s0, i0, r0, t_max=None, tol=1e-10, samples=1001):
+    from scipy.integrate import solve_ivp
+
+    validate_params(params)
+    n = params.n
+    if abs(s0 + i0 + r0 - n) > 1e-9 * n:
+        raise ValidationError("s0 + i0 + r0 must equal n")
+    if t_max is None:
+        t_max = default_t_max(params)
+    if t_max <= 0 or tol <= 0:
+        raise ValidationError("t_max and tol must be positive")
+
+    beta, gamma, p = params.beta, params.gamma, params.p
+
+    def rhs(_t, y):
+        xs, xi_, _xr, _xc, _exposure = y
+        force = beta * xs * xi_ + p * xs
+        return (-force, force - gamma * xi_, gamma * xi_, force, beta * xi_)
+
+    y0 = np.array([s0 / n, i0 / n, r0 / n, (i0 + r0) / n, 0.0])
+    atol = max(tol * 1e-3 * max(i0 / n, 1e-16), 1e-300)
+    sol = solve_ivp(rhs, (0.0, t_max), y0, method="DOP853", rtol=tol, atol=atol, dense_output=True)
+    if not sol.success:
+        raise ArithmeticError(f"integration failed at t={sol.t[-1]:.6g}: {sol.message}")
+    ts = np.linspace(0.0, t_max, samples)
+    ys = sol.sol(ts)
+    return FluidTrajectory(
+        params=params, s0=s0, i0=i0, r0=r0, ts=ts,
+        s=ys[0] * n, i=ys[1] * n, r=ys[2] * n, c=ys[3] * n, xi=ys[4],
+        _dense=sol.sol,
+    )

@@ -285,6 +285,11 @@ def test_help_lists_flags(capsys):
         assert flag in out
 
 
+def _env():
+    """This process's environment with difflim's source tree on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+
 def _dispatch_in_fresh_interpreter(argvs, cwd):
     """Run ``dispatch`` on each argv in one new interpreter; return the exit
     codes and the scipy modules loaded after import and after each command."""
@@ -298,10 +303,9 @@ def _dispatch_in_fresh_interpreter(argvs, cwd):
         "    report.append((argv[0], dispatch(argv), scipy_mods()))\n"
         "print(json.dumps(report))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", script, json.dumps(argvs)],
-        cwd=cwd, env=env, capture_output=True, text=True, check=True,
+        cwd=cwd, env=_env(), capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -321,22 +325,94 @@ def test_commands_without_fits_or_ode_never_import_scipy(tmp_path):
         assert scipy_mods == [], name
 
 
-def test_fluid_and_fit_import_scipy_where_used(tmp_path):
+def _scipy_modules_after(code, cwd):
+    """scipy modules loaded by running ``code`` in a new interpreter."""
+    script = code + "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys\n" + script],
+        cwd=cwd, env=_env(), capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_fit_fluid_and_fluid_sandwich_load_no_scipy(tmp_path):
     counts = _counts_csv(tmp_path / "counts.csv")
+    (tmp_path / "fluid.json").write_text(json.dumps(
+        {"study": "FluidSandwich", "grid": {"ns": [1e4, 1e6]}, "replicates": 1, "seed": 0}
+    ))
     argvs = [
-        ["fit", "--input", str(counts), "--gamma", "0.25", "--n-max", "1000000",
-         "--starts", "4", "--fix-a", "--out", "fit.json"],
+        ["fit", "--input", str(counts), "--gamma", "0.25", "--n-max", "1000000", "--fix-a",
+         "--out", "fit.json"],
+        ["fit", "--input", str(counts), "--gamma", "0.25", "--n-max", "1000000", "--out", "fit_a.json"],
         ["fluid", "--model", "sir", "--N", "10000", "--beta", "0.5", "--gamma", "0.25",
          "--i0", "1", "--out", "traj.csv"],
+        ["fluid", "--model", "bass", "--N", "10000", "--beta", "0.5", "--p", "0.01",
+         "--i0", "1", "--out", "bass.csv"],
+        ["study", "--config", "fluid.json", "--out", "results"],
     ]
-    report = _dispatch_in_fresh_interpreter(argvs, tmp_path)
-    assert report[0][2] == []
-    for name, code, scipy_mods in report[1:]:
+    for name, code, scipy_mods in _dispatch_in_fresh_interpreter(argvs, tmp_path):
         assert code == 0, name
-        assert scipy_mods, name
-    # fit runs first, so this is what fit alone loads
-    assert not any(m.startswith("scipy.optimize") for m in report[1][2])
+        assert scipy_mods == [], name
     assert json.loads((tmp_path / "fit.json").read_text())["n_hat"] > 0
+    # The CLI has no flag for the general regime (p > 0 and gamma > 0).
+    general = (
+        "from difflim.core import ModelParams, Regime\n"
+        "from difflim.fluid import integrate, peak_times\n"
+        "params = ModelParams(n=5000, beta=0.7, gamma=0.2, p=0.01, regime=Regime.GENERAL)\n"
+        "peak_times(integrate(params, 4990, 8, 2))\n"
+    )
+    assert _scipy_modules_after(general, tmp_path) == []
+
+
+def test_rel_error_study_loads_only_scipy_special(tmp_path):
+    (tmp_path / "rel.json").write_text(json.dumps(
+        {"study": "RelErrorScaling", "grid": {"n": 1000.0, "ms": [100]}, "replicates": 20, "seed": 0}
+    ))
+    [_, (name, code, scipy_mods)] = _dispatch_in_fresh_interpreter(
+        [["study", "--config", "rel.json", "--out", "results"]], tmp_path
+    )
+    assert code == 0
+    public = {m.split(".")[1] for m in scipy_mods if "." in m and not m.split(".")[1].startswith("_")}
+    assert public - {"version"} == {"special"}
+
+
+@pytest.mark.parametrize(
+    "flags, code, kind",
+    [
+        (["--t-max", "nan"], 1, "validation"),
+        (["--t-max", "inf"], 1, "validation"),
+        (["--tol", "nan"], 1, "validation"),
+        (["--tol", "inf"], 1, "validation"),
+        # past the epidemic the stability limit caps the step: the step budget ends it
+        (["--t-max", "1e300"], 2, "runtime"),
+        # the step shrinks below ten ulps of t at once
+        (["--tol", "1e-300"], 2, "runtime"),
+    ],
+    ids=["t-max-nan", "t-max-inf", "tol-nan", "tol-inf", "t-max-1e300", "tol-1e-300"],
+)
+def test_fluid_refuses_unusable_horizons_and_tolerances(tmp_path, flags, code, kind):
+    proc = subprocess.run(
+        [sys.executable, "-m", "difflim.cli", "fluid", "--model", "sir", "--N", "1000000",
+         "--beta", "0.5", "--gamma", "0.25", "--i0", "1", *flags, "--out", "traj.csv"],
+        cwd=tmp_path, env=_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == code
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"difflim: error[{kind}]: ")
+    assert not (tmp_path / "traj.csv").exists()
+
+
+def test_fisher_sir_past_full_population_writes_nothing_to_stderr(tmp_path):
+    """With gamma = 0 the count path fills the population before m; the
+    per-jump bracket at c = n is masked without a numpy warning."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "difflim.cli", "fisher", "--model", "sir", "--N", "30", "--beta", "0.5",
+         "--gamma", "0", "--i0", "3", "-m", "40", "--replicates", "200"],
+        cwd=tmp_path, env=_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("J_total")
 
 
 def _ledger_csv(path):

@@ -9,6 +9,7 @@ from difflim.core import ModelParams, Regime, RngStream, ValidationError
 from difflim.discrete import (
     CountSeries,
     OptimizerConfig,
+    _log_factorial,
     fit_mle,
     loglik,
     peaked_set,
@@ -96,6 +97,51 @@ def test_poisson_logpmf_conventions():
     assert poisson_logpmf(np.array([2.0]), np.array([1.5]))[0] == pytest.approx(
         2 * math.log(1.5) - 1.5 - math.log(2)
     )
+
+
+def _gammaln_logpmf(x, lam):
+    """poisson_logpmf as it was, on scipy.special.gammaln."""
+    from scipy.special import gammaln
+
+    x, lam = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(lam, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = x * np.log(lam) - lam - gammaln(x + 1.0)
+    out = np.where(lam > 0, vals, -np.inf)
+    return np.where((lam == 0) & (x == 0), 0.0, out)
+
+
+def test_log_factorial_matches_gammaln_on_counts():
+    from scipy.special import gammaln
+
+    x = np.concatenate([np.arange(0.0, 200_001.0), np.unique(np.geomspace(2e5, 1e12, 2000).round())])
+    got, want = _log_factorial(x), gammaln(x + 1.0)
+    pos = want > 0
+    assert np.array_equal(got[~pos], want[~pos])  # log 0! = log 1! = 0
+    assert np.max(np.abs(got[pos] - want[pos]) / want[pos]) <= 1e-15
+
+
+def test_poisson_logpmf_matches_gammaln_form():
+    """Only the log x! term changed, so the two forms differ by at most
+    1e-15 of the terms' magnitude (relative to the value itself the
+    difference can be larger, where x log lam - lam and log x! cancel)."""
+    x = np.arange(0.0, 5001.0)[:, None]
+    lam = np.array([0.0, 1e-3, 0.5, 1.0, 3.0, 10.0, 100.0, 1000.0, 5000.0])[None, :]
+    got, want = poisson_logpmf(x, lam), _gammaln_logpmf(x, lam)
+    # lam = 0: p(0; 0) = 1 and p(x > 0; 0) = 0
+    assert got[0, 0] == 0.0 and np.all(got[1:, 0] == -np.inf)
+    assert np.array_equal(got[:, 0], want[:, 0])
+    scale = np.abs(x * np.log(lam[:, 1:])) + lam[:, 1:] + _log_factorial(x)
+    assert np.all(np.abs(got[:, 1:] - want[:, 1:]) <= 1e-15 * scale)
+
+
+def test_poisson_logpmf_below_minus_one_as_before():
+    """math.lgamma raises at its poles and on overflow, where gammaln gave
+    +inf; the values below -1 stay what they were."""
+    x = np.array([-1.0, -2.0, -3.0, -7.0, -1e6, -1.5, -2.5, -math.inf, 1e306])
+    lam = np.array([0.5, 2.0, 3.0, 1.0, 1.0, 2.0, 0.5, 2.0, 1.0])
+    got, want = poisson_logpmf(x, lam), _gammaln_logpmf(x, lam)
+    assert np.array_equal(got[:5], np.full(5, -np.inf))
+    np.testing.assert_allclose(got, want, rtol=1e-15)
 
 
 def test_loglik_prefers_truth_over_halved_population():
@@ -342,6 +388,24 @@ def test_profile_fit_at_least_matches_nelder_mead(case):
     assert 0.0 <= fit.beta_hat <= kw.get("beta_max", 2.0)
     assert 0.0 <= fit.a_hat <= (10.0 if kw["fit_a"] else 0.0)
     assert fit.recoveries_imputed == (series.delta_r is None)
+
+
+@pytest.mark.parametrize("case", sorted(FIT_CASES))
+def test_profile_fit_with_lgamma_matches_gammaln(case, monkeypatch):
+    """log x! from math.lgamma moves only the constant term of the
+    likelihood, so the fitted point and the trace's (n, a, beta) are
+    unchanged and every loglik moves by under 1e-13 relative."""
+    from scipy.special import gammaln
+
+    series, n_max, kw = FIT_CASES[case]
+    fit = fit_mle(series, 0.25, n_max, OptimizerConfig(**kw))
+    monkeypatch.setattr("difflim.discrete._log_factorial", lambda x: gammaln(np.asarray(x, dtype=float) + 1.0))
+    ref = fit_mle(series, 0.25, n_max, OptimizerConfig(**kw))
+    assert (fit.n_hat, fit.a_hat, fit.beta_hat) == (ref.n_hat, ref.a_hat, ref.beta_hat)
+    assert fit.loglik == pytest.approx(ref.loglik, rel=1e-13, abs=0)
+    for t, r in zip(fit.trace, ref.trace, strict=True):
+        assert (t["n"], t["a"], t["beta"]) == (r["n"], r["a"], r["beta"])
+        assert t["loglik"] == pytest.approx(r["loglik"], rel=1e-13, abs=0)
 
 
 def test_profile_fit_cases_reach_their_edge():

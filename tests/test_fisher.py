@@ -196,8 +196,8 @@ def test_score_oracle_matches_reference_bit_for_bit(params, i0, r0, m, reps, chu
     ids=["workload-size", "beyond-one-chunk", "extinction", "r0", "gamma0-fills-population"],
 )
 # Both versions evaluate the bracket at c = n once the population is full,
-# and mask it out.
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+# and mask it out, without a numpy warning.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fisher_sir_mc_matches_materializing_reference(params, i0, r0, m, reps, chunk):
     """Reducing slab by slab gives the very report of reducing whole blocks."""
     rng = RngStream(seed=9, stream_id=4)

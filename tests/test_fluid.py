@@ -1,8 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from reference_kernels import reference_integrate
 
+from difflim import _dop853, fluid
 from difflim.core import ModelParams, Regime, ValidationError
 from difflim.fluid import (
     bass_closed_form,
@@ -280,3 +283,115 @@ def test_distinguishability_smoke():
     p2 = ModelParams(n=1000, beta=0.52, gamma=0.0, p=0.005, regime=Regime.BASS)
     ts = np.linspace(0.0, 30.0, 300)
     assert np.max(np.abs(bass_closed_form(p1, ts) - bass_closed_form(p2, ts))) / 1000 > 1e-2
+
+
+# ---------------------------------------------------------------------------
+# The in-library Dormand-Prince 8(5,3) against scipy's solve_ivp(DOP853),
+# which it replaced (tests/reference_kernels.py): equal bit for bit.
+# ---------------------------------------------------------------------------
+
+PARITY_CASES = [
+    (ModelParams(n=1e4, beta=0.5, gamma=0.25, regime=Regime.SIR), (1e4 - 1, 1, 0), {}),
+    (SIR, (1e6 - 1, 1, 0), {}),
+    (ModelParams(n=1e8, beta=0.5, gamma=0.25, regime=Regime.SIR), (1e8 - 1, 1, 0), {}),
+    (ModelParams(n=1000, beta=0.5, gamma=0.0, p=0.05, regime=Regime.BASS), (1000, 0, 0), {"t_max": 80.0}),
+    (ModelParams(n=5000, beta=0.7, gamma=0.2, p=0.01, regime=Regime.GENERAL), (4990, 8, 2), {}),
+    (ModelParams(n=12345.6, beta=0.5, gamma=0.25, regime=Regime.SIR), (12342.6, 3, 0), {}),
+    (SIR, (1e6 - 1, 1, 0), {"tol": 1e-6}),
+    (ModelParams(n=1e5, beta=0.2, gamma=0.3, regime=Regime.SIR), (1e5 - 50, 50, 0), {}),
+    (ModelParams(n=1e4, beta=0.5, gamma=0.0, p=0.0, regime=Regime.BASS), (1e4 - 1, 1, 0), {}),
+]
+PARITY_IDS = [
+    "sir-1e4", "sir-1e6", "sir-1e8", "bass-p", "general", "non-integer-n", "tol-1e-6",
+    "subcritical", "bass-p0",
+]
+
+
+@pytest.mark.parametrize("params, ics, kw", PARITY_CASES, ids=PARITY_IDS)
+def test_integrate_matches_solve_ivp_bit_for_bit(params, ics, kw):
+    got = integrate(params, *ics, **kw)
+    want = reference_integrate(params, *ics, **kw)
+    for name in ("ts", "s", "i", "r", "c", "xi"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    steps = got._dense.ts
+    assert np.array_equal(steps, want._dense.ts)
+    t_max = got.ts[-1]
+    mids = 0.5 * (steps[:-1] + steps[1:])
+    outside = np.array([-1.0, -1e-9, t_max + 1e-9, 1.5 * t_max])
+    probe = np.concatenate([steps, mids, outside])
+    assert np.array_equal(got._dense(probe), want._dense(probe))
+    assert np.array_equal(got._dense(probe[::-1]), want._dense(probe[::-1]))
+    for t in [*steps[:3], steps[-1], mids[len(mids) // 2], *outside, 0, t_max / 3]:
+        assert np.array_equal(got._dense(t), want._dense(t)), t
+        assert got._dense(t).shape == want._dense(t).shape == (5,)
+
+    assert peak_times(got) == peak_times(want)
+
+
+def test_scaling_check_and_xi_form_match_solve_ivp(monkeypatch):
+    params = ModelParams(n=1e5, beta=0.5, gamma=0.25, regime=Regime.SIR)
+    got = [scaling_check(params, 1e5 - 40, 40, 0, eta) for eta in (1.0, 0.37, 10.0)]
+    got.append(sir_xi_form(params, 1e5 - 50, 40, 10, 20.0))
+    monkeypatch.setattr(fluid, "integrate", reference_integrate)
+    want = [scaling_check(params, 1e5 - 40, 40, 0, eta) for eta in (1.0, 0.37, 10.0)]
+    want.append(sir_xi_form(params, 1e5 - 50, 40, 10, 20.0))
+    assert got == want
+
+
+def test_dop853_tables_equal_scipys():
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    for name in ("N_STAGES", "N_STAGES_EXTENDED", "INTERPOLATOR_POWER"):
+        assert getattr(_dop853, name) == getattr(ref, name)
+    for name in ("C", "A", "B", "E3", "E5", "D"):
+        assert np.array_equal(getattr(_dop853, name), getattr(ref, name)), name
+
+
+def test_too_small_step_raises_like_solve_ivp_without_warnings():
+    """solve_ivp warns about the tolerance and about overflow on the way;
+    the port raises the same error and warns nothing."""
+    with warnings.catch_warnings(), pytest.raises(ArithmeticError) as want:
+        warnings.simplefilter("ignore")
+        reference_integrate(SIR, 1e6 - 1, 1, 0, tol=1e-300)
+    with warnings.catch_warnings(), pytest.raises(ArithmeticError) as got:
+        warnings.simplefilter("error")
+        integrate(SIR, 1e6 - 1, 1, 0, tol=1e-300)
+    assert str(got.value) == str(want.value)
+
+
+def test_tolerance_below_the_floor_matches_solve_ivp():
+    """tol below 100 machine epsilons is raised to that floor, as solve_ivp
+    does (it also warns; the port does not)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = reference_integrate(SIR, 1e6 - 1, 1, 0, t_max=40.0, tol=1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = integrate(SIR, 1e6 - 1, 1, 0, t_max=40.0, tol=1e-15)
+    assert np.array_equal(got.s, want.s) and np.array_equal(got.xi, want.xi)
+
+
+def test_step_budget_ends_an_endless_horizon(monkeypatch):
+    y0 = np.array([1 - 1e-6, 1e-6, 0.0, 1e-6, 0.0])
+
+    def rhs(_t, y):
+        force = 0.5 * y[0] * y[1]
+        return np.array((-force, force - 0.25 * y[1], 0.25 * y[1], force, 0.5 * y[1]))
+
+    assert _dop853.solve(rhs, y0, 100.0, rtol=1e-10, atol=1e-19).ts.size - 1 < 200
+    monkeypatch.setattr(_dop853, "MAX_STEPS", 50)
+    with pytest.raises(ArithmeticError, match="no end after 50 steps"):
+        _dop853.solve(rhs, y0, 1e300, rtol=1e-10, atol=1e-19)
+
+
+@pytest.mark.parametrize("t_max, tol", [(math.nan, 1e-10), (math.inf, 1e-10), (50.0, math.nan), (50.0, math.inf)])
+def test_integrate_refuses_non_finite_horizon_or_tolerance(t_max, tol):
+    with pytest.raises(ValidationError, match="finite"):
+        integrate(SIR, 1e6 - 1, 1, 0, t_max=t_max, tol=tol)
+
+
+def test_dense_output_refuses_two_dimensional_times():
+    traj = integrate(SIR, 1e6 - 1, 1, 0, t_max=10.0)
+    with pytest.raises(ValueError, match="1-D"):
+        traj._dense(np.zeros((2, 2)))
