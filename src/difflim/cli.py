@@ -158,7 +158,6 @@ def build_parser() -> _Parser:
     st.add_argument("--config", required=True, help="study config JSON")
     st.add_argument("--out", required=True, help="output directory")
     st.add_argument("--seed", type=int, default=None, help="override config seed")
-    st.add_argument("--threads", type=int, default=None, help="worker pool size")
 
     for name, sp_ in sub.choices.items():
         if name != "study":
@@ -172,7 +171,7 @@ def build_parser() -> _Parser:
 
 
 def _threads(args) -> int:
-    if getattr(args, "threads", None):
+    if args.threads:
         return args.threads
     env = os.environ.get("DIFFLIM_THREADS")
     return int(env) if env else 1

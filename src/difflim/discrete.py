@@ -56,6 +56,20 @@ class CountSeries:
         return int(self.i_init + self.r_init + self.delta_c.sum())
 
 
+def _epoch_step(
+    gen: np.random.Generator, s: float, i: float, n: float, a: float, beta: float, gamma: float
+) -> tuple[int, int]:
+    """The counts of one epoch from state (S, I): new infections
+    Poisson((a + beta I) S / n) truncated at S, then recoveries
+    Poisson(gamma I) truncated at I plus the new infections.  A zero rate
+    draws nothing from ``gen``.  Returns (delta_c, delta_r)."""
+    lam = max((a + beta * i) * max(s, 0.0) / n, 0.0)
+    dc = min(int(gen.poisson(lam)) if lam > 0 else 0, int(max(s, 0)))
+    mu = gamma * i
+    dr = min(int(gen.poisson(mu)) if mu > 0 else 0, int(i) + dc)
+    return dc, dr
+
+
 def simulate_discrete(
     params: ModelParams,
     i_init: int,
@@ -83,12 +97,7 @@ def simulate_discrete(
     dr = np.zeros(horizon, dtype=np.int64)
     for t in range(horizon):
         beta = params.beta if beta_t is None else float(beta_t[t])
-        lam = max((a + beta * i) * max(s, 0.0) / n, 0.0)
-        draw_c = int(gen.poisson(lam)) if lam > 0 else 0
-        draw_c = min(draw_c, int(max(s, 0)))
-        mu = gamma * i
-        draw_r = int(gen.poisson(mu)) if mu > 0 else 0
-        draw_r = min(draw_r, int(i) + draw_c)
+        draw_c, draw_r = _epoch_step(gen, s, i, n, a, beta, gamma)
         s -= draw_c
         i += draw_c - draw_r
         dc[t] = draw_c
@@ -416,10 +425,7 @@ def predict_peak(
         s, i = s0, i0
         peak = i
         for _ in range(horizon):
-            lam = max((params.a + params.beta * i) * max(s, 0.0) / n, 0.0)
-            dc = min(int(gen.poisson(lam)) if lam > 0 else 0, int(max(s, 0)))
-            mu = gamma_known * i
-            dr = min(int(gen.poisson(mu)) if mu > 0 else 0, int(i) + dc)
+            dc, dr = _epoch_step(gen, s, i, n, params.a, params.beta, gamma_known)
             s -= dc
             i += dc - dr
             peak = max(peak, i)

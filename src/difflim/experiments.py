@@ -27,7 +27,7 @@ from .fisher import (
     highprob_rate_condition,
 )
 from .fluid import integrate, peak_bounds, peak_times
-from .simulate import ColumnTotals, path_slabs, simulate_paths
+from .simulate import ColumnTotals, path_slabs
 
 
 class StudyAssertionError(AssertionError):
@@ -421,57 +421,64 @@ def fluid_sandwich_study(config: StudyConfig) -> StudyResult:
 # ---------------------------------------------------------------------------
 
 
-def _bass_n_term(n_grid: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """sum log(n - d) - m log n at each candidate n: the part of the
-    pure-adoption loglik that depends on n but not on the replicate."""
-    return np.log(n_grid[:, None] - d[None, :]).sum(axis=1) - len(d) * np.log(n_grid)
-
-
-def bass_loglik_scan(t_col: np.ndarray, i0: int, beta: float, a: float, n_grid: np.ndarray) -> np.ndarray:
-    """Log-likelihood of one pure-adoption observation column at each
-    candidate n; constant-in-n terms are dropped."""
-    d = np.arange(len(t_col), dtype=float) + i0  # I_{k-1}
-    v = float(np.dot((beta * d + a) * d, t_col))
-    n_grid = np.asarray(n_grid, dtype=float)
-    return _bass_n_term(n_grid, d) + v / n_grid
-
-
 POPULATION_GRID = 64
 
+# B_2k / (2k) for k = 1..7, the coefficients of z^k, z = 1/x^2, in psi's
+# asymptotic series.
+_PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
 
-def mle_population_bass(
-    T: np.ndarray, i0: int, beta: float, a: float, upper_factor: float = 1e3
-):
+
+def _digamma(x: np.ndarray) -> np.ndarray:
+    """psi(x) element-wise for x >= 1: the recurrence psi(x) = psi(x + 1) - 1/x
+    (Abramowitz & Stegun 6.3.5) up to x >= 10, then the asymptotic series
+    ln x - 1/(2x) - sum_k B_2k / (2k x^2k) (6.3.18) through k = 7, whose
+    first omitted term is below 5e-17 at x = 10."""
+    x = np.array(x, dtype=float)
+    shift = np.zeros_like(x)
+    low = x < 10.0
+    if low.any():
+        xl, sl = x[low], shift[low]
+        for _ in range(9):
+            small = xl < 10.0
+            sl -= small / xl
+            xl += small
+        x[low], shift[low] = xl, sl
+    z = 1.0 / (x * x)
+    tail = _PSI_SERIES[-1] * z
+    for c in reversed(_PSI_SERIES[:-1]):
+        tail += c
+        tail *= z
+    return np.log(x) - 0.5 / x - tail + shift
+
+
+def mle_population_bass(v: np.ndarray, m: int, i0: int, upper_factor: float = 1e3) -> np.ndarray:
     """Likelihood maximization for n with beta and a known, over
-    [C_m, upper_factor * C_m] in log space, for one holding-time column
-    (shape (m,), returns a float) or R replicate columns at once (shape
-    (m, R), returns an array).
+    [C_m, upper_factor * C_m] in log space, for R replicates at once.
 
-    A replicate enters the loglik sum log(n - d) - m log n + v / n only
-    through v = sum (beta I + a) I T.  The n-only term is scanned once on
-    ``POPULATION_GRID`` points, v / n is added per replicate, and inside
-    the bracket of the best grid point's neighbours the derivative in
-    log n, n (psi(n - i0 + 1) - psi(n - i0 - m + 1)) - m - v / n, is
-    bisected to its root.  A bracket with no sign change returns whichever
-    end has the larger loglik."""
-    from scipy.special import digamma
-
-    cols = np.asarray(T, dtype=float)
-    single = cols.ndim == 1
-    cols = cols.reshape(len(cols), -1)
-    m = cols.shape[0]
+    With d_k = i0 + k - 1 the infected count before jump k, a replicate
+    enters the pure-adoption loglik sum log(n - d) - m log n + v / n only
+    through v = sum_k (beta d_k + a) d_k T_k, so ``v`` (shape (R,)) is all
+    the MLE reads of the holding times, and it returns n_hat of shape (R,).
+    The n-only term is scanned once on ``POPULATION_GRID`` points, v / n is
+    added per replicate, and inside the bracket of the best grid point's
+    neighbours the derivative in log n,
+    n (psi(n - i0 + 1) - psi(n - i0 - m + 1)) - m - v / n, is bisected to
+    its root.  A bracket with no sign change returns whichever end has the
+    larger loglik."""
+    v = np.asarray(v, dtype=float)
     c_m = m + i0
     log_grid = np.linspace(math.log(c_m * (1.0 + 1e-9)), math.log(upper_factor * c_m), POPULATION_GRID)
     grid = np.exp(log_grid)
     d = np.arange(m, dtype=float) + i0  # I_{k-1}
-    v = ((beta * d + a) * d) @ cols
-    vals = _bass_n_term(grid, d)[None, :] + v[:, None] / grid[None, :]
+    n_term = np.log(grid[:, None] - d[None, :]).sum(axis=1) - m * np.log(grid)
+    vals = n_term[None, :] + v[:, None] / grid[None, :]
     j = np.argmax(vals, axis=1)
     j_lo, j_hi = np.maximum(j - 1, 0), np.minimum(j + 1, POPULATION_GRID - 1)
 
     def slope(log_n):
         n = np.exp(log_n)
-        return n * (digamma(n - i0 + 1) - digamma(n - i0 - m + 1)) - m - v / n
+        psi = _digamma(np.concatenate((n - i0 + 1, n - i0 - m + 1)))
+        return n * (psi[: len(n)] - psi[len(n) :]) - m - v / n
 
     lo, hi = log_grid[j_lo], log_grid[j_hi]
     rows = np.arange(len(v))
@@ -481,8 +488,18 @@ def mle_population_bass(
         mid = 0.5 * (lo + hi)
         up = slope(mid) > 0
         lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
-    n_hat = np.exp(np.where(bracketed, 0.5 * (lo + hi), ends))
-    return float(n_hat[0]) if single else n_hat
+    return np.exp(np.where(bracketed, 0.5 * (lo + hi), ends))
+
+
+def _slab_products(
+    params: ModelParams, i0: int, m: int, rng: RngStream, replicates: int, w: np.ndarray
+) -> np.ndarray:
+    """w @ T for the (m, replicates) holding times T of ``path_slabs``,
+    summed one slab product at a time."""
+    v = np.zeros(replicates)
+    for k0, slab in path_slabs(params, i0, 0, m, rng, replicates):
+        v += w[k0 : k0 + slab.m] @ slab.T
+    return v
 
 
 def rel_error_study(config: StudyConfig) -> StudyResult:
@@ -500,8 +517,10 @@ def rel_error_study(config: StudyConfig) -> StudyResult:
 
     rows = []
     for idx, m in enumerate(g["ms"]):
-        block = simulate_paths(params, i0, 0, m, RngStream(seed=config.seed, stream_id=500 * idx), R)
-        n_hat = mle_population_bass(block.T, i0, beta, a, upper_factor)
+        d = np.arange(m, dtype=float) + i0  # I_{k-1}
+        rng = RngStream(seed=config.seed, stream_id=500 * idx)
+        v = _slab_products(params, i0, m, rng, R, (beta * d + a) * d)
+        n_hat = mle_population_bass(v, m, i0, upper_factor)
         rel_errors = (n_hat - n) ** 2 / n ** 2
         upper_hits = int(np.sum(n_hat > 0.99 * upper_factor * (m + i0)))
         rep = fisher_bass(n, i0, m)

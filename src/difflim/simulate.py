@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -155,39 +154,6 @@ def simulate_batch(spec: SimSpec, replicates: int, parallelism: int = 1) -> list
         return [_worker(a) for a in args]
     with ProcessPoolExecutor(max_workers=parallelism) as pool:
         return list(pool.map(_worker, args))
-
-
-def dominated_walk(spec: SimSpec, p_bern: float) -> np.ndarray:
-    """Comparison process A_0..A_m: A_0 = c0, steps are iid Bernoulli(p_bern)
-    increments, frozen after the first index where A_k <= (i0 + k + 2*r0)/2.
-
-    The walk is stochastically below the cumulative count of the diffusion
-    whenever every infection probability along feasible paths exceeds
-    p_bern, which makes its stopping time an upper bound in distribution.
-    """
-    if not 0 <= p_bern <= 1:
-        raise ValidationError("p_bern must be in [0, 1]")
-    gen = spec.rng.generator()
-    m = spec.max_jumps
-    c0 = spec.i0 + spec.r0
-    out = np.empty(m + 1, dtype=np.int64)
-    out[0] = c0
-    frozen = False
-    for k in range(1, m + 1):
-        if frozen:
-            out[k] = out[k - 1]
-            continue
-        out[k] = out[k - 1] + (1 if gen.random() < p_bern else 0)
-        if 2 * out[k] <= spec.i0 + k + 2 * spec.r0:
-            frozen = True
-    return out
-
-
-def walk_stopping_time(walk: np.ndarray, i0: int, r0: int) -> Optional[int]:
-    """First index k >= 1 with A_k <= (i0 + k + 2*r0)/2, or None."""
-    ks = np.arange(1, len(walk))
-    hit = np.nonzero(2 * walk[1:] <= i0 + ks + 2 * r0)[0]
-    return int(hit[0]) + 1 if hit.size else None
 
 
 # ---------------------------------------------------------------------------

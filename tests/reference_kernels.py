@@ -19,6 +19,10 @@ production code against:
   ``reference_bass_loglik_scan``.
 - ``reference_integrate``: ``difflim.fluid.integrate`` on scipy's
   ``solve_ivp(method="DOP853", dense_output=True)``.
+- ``reference_simulate_discrete`` and ``reference_predict_peak``:
+  ``difflim.discrete.simulate_discrete`` and ``predict_peak`` with the
+  Poisson epoch step written out in each loop, as they were before they
+  shared one step.
 """
 
 import math
@@ -26,7 +30,7 @@ import math
 import numpy as np
 
 from difflim.core import ModelParams, Regime, RngStream, ValidationError, validate_params
-from difflim.discrete import FitResult, _rollout, loglik
+from difflim.discrete import CountSeries, FitResult, PeakForecast, _rollout, loglik
 from difflim.estimate import rate_band, recovery_band
 from difflim.experiments import StudyResult
 from difflim.fisher import _finish, compute_survival_threshold, highprob_rate_condition, sir_bracket
@@ -367,3 +371,56 @@ def reference_integrate(params, s0, i0, r0, t_max=None, tol=1e-10, samples=1001)
         s=ys[0] * n, i=ys[1] * n, r=ys[2] * n, c=ys[3] * n, xi=ys[4],
         _dense=sol.sol,
     )
+
+
+def reference_simulate_discrete(params, i_init, r_init, horizon, rng, instance_id="0", beta_t=None):
+    validate_params(params)
+    if horizon < 1:
+        raise ValidationError("horizon must be >= 1")
+    if beta_t is not None and len(beta_t) != horizon:
+        raise ValidationError("beta_t must have one value per epoch")
+    gen = rng.generator()
+    n, a, gamma = params.n, params.a, params.gamma
+    s = n - i_init - r_init
+    i = float(i_init)
+    dc = np.zeros(horizon, dtype=np.int64)
+    dr = np.zeros(horizon, dtype=np.int64)
+    for t in range(horizon):
+        beta = params.beta if beta_t is None else float(beta_t[t])
+        lam = max((a + beta * i) * max(s, 0.0) / n, 0.0)
+        draw_c = int(gen.poisson(lam)) if lam > 0 else 0
+        draw_c = min(draw_c, int(max(s, 0)))
+        mu = gamma * i
+        draw_r = int(gen.poisson(mu)) if mu > 0 else 0
+        draw_r = min(draw_r, int(i) + draw_c)
+        s -= draw_c
+        i += draw_c - draw_r
+        dc[t] = draw_c
+        dr[t] = draw_r
+    return CountSeries(instance_id=instance_id, i_init=i_init, r_init=r_init, delta_c=dc, delta_r=dr)
+
+
+def reference_predict_peak(series, fit, gamma_known, horizon, replicates, rng):
+    if not fit.converged:
+        raise ValidationError("fit did not converge")
+    s_path, i_path, _ = _rollout(series, fit.n_hat, gamma_known)
+    past_max = float(i_path.max())
+    params = ModelParams(n=fit.n_hat, beta=fit.beta_hat, gamma=gamma_known, p=fit.a_hat / fit.n_hat)
+    gen = rng.generator()
+    n = fit.n_hat
+    s0, i0 = float(s_path[-1]), float(i_path[-1])
+    maxima = np.empty(replicates)
+    for rep in range(replicates):
+        s, i = s0, i0
+        peak = i
+        for _ in range(horizon):
+            lam = max((params.a + params.beta * i) * max(s, 0.0) / n, 0.0)
+            dc = min(int(gen.poisson(lam)) if lam > 0 else 0, int(max(s, 0)))
+            mu = gamma_known * i
+            dr = min(int(gen.poisson(mu)) if mu > 0 else 0, int(i) + dc)
+            s -= dc
+            i += dc - dr
+            peak = max(peak, i)
+        maxima[rep] = max(peak, past_max)
+    qs = {q: float(np.quantile(maxima, q)) for q in (0.1, 0.5, 0.9)}
+    return PeakForecast(mean=float(maxima.mean()), quantiles=qs, past_max=past_max)

@@ -290,12 +290,14 @@ def _env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
-def _dispatch_in_fresh_interpreter(argvs, cwd):
+def _dispatch_in_fresh_interpreter(argvs, cwd, block_scipy=False):
     """Run ``dispatch`` on each argv in one new interpreter; return the exit
-    codes and the scipy modules loaded after import and after each command."""
+    codes and the scipy modules loaded after import and after each command.
+    With ``block_scipy`` every import of scipy in that interpreter fails."""
     script = (
         "import json, sys\n"
-        "from difflim.cli import dispatch\n"
+        + ("sys.modules['scipy'] = None\n" if block_scipy else "")
+        + "from difflim.cli import dispatch\n"
         "def scipy_mods():\n"
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "report = [('import', 0, scipy_mods())]\n"
@@ -364,16 +366,40 @@ def test_fit_fluid_and_fluid_sandwich_load_no_scipy(tmp_path):
     assert _scipy_modules_after(general, tmp_path) == []
 
 
-def test_rel_error_study_loads_only_scipy_special(tmp_path):
-    (tmp_path / "rel.json").write_text(json.dumps(
-        {"study": "RelErrorScaling", "grid": {"n": 1000.0, "ms": [100]}, "replicates": 20, "seed": 0}
-    ))
-    [_, (name, code, scipy_mods)] = _dispatch_in_fresh_interpreter(
-        [["study", "--config", "rel.json", "--out", "results"]], tmp_path
-    )
-    assert code == 0
-    public = {m.split(".")[1] for m in scipy_mods if "." in m and not m.split(".")[1].startswith("_")}
-    assert public - {"version"} == {"special"}
+def test_studies_fit_and_fluid_run_without_scipy(tmp_path):
+    """With scipy unimportable, study RelErrorScaling and FluidSandwich, fit
+    with and without --fix-a, and fluid exit 0 and write the same bytes as
+    in an interpreter where scipy can be imported."""
+    counts = _counts_csv(tmp_path / "counts.csv")
+    studies = {
+        "rel.json": {"study": "RelErrorScaling", "grid": {"n": 1e4, "ms": [465, 930]},
+                     "replicates": 60, "seed": 9},
+        "fluid.json": {"study": "FluidSandwich", "grid": {"ns": [1e4, 1e6]}, "replicates": 1, "seed": 0},
+    }
+    argvs = [
+        ["study", "--config", "rel.json", "--out", "results"],
+        ["study", "--config", "fluid.json", "--out", "results"],
+        ["fit", "--input", str(counts), "--gamma", "0.25", "--n-max", "1000000", "--fix-a",
+         "--out", "fit.json"],
+        ["fit", "--input", str(counts), "--gamma", "0.25", "--n-max", "1000000", "--out", "fit_a.json"],
+        ["fluid", "--model", "sir", "--N", "1000000", "--beta", "0.5", "--gamma", "0.25",
+         "--i0", "1", "--out", "traj.csv"],
+    ]
+    written = {}
+    for block_scipy in (False, True):
+        work = tmp_path / f"block_scipy_{block_scipy}"
+        work.mkdir()
+        for name, cfg in studies.items():
+            (work / name).write_text(json.dumps(cfg))
+        report = _dispatch_in_fresh_interpreter(argvs, work, block_scipy=block_scipy)
+        assert [code for _, code, _ in report[1:]] == [0] * len(argvs)
+        written[block_scipy] = {
+            str(p.relative_to(work)): p.read_bytes()
+            for p in sorted(work.rglob("*")) if p.is_file() and not p.name.endswith(".meta.json")
+        }
+    expected = {"results/relerrorscaling.csv", "results/fluidsandwich.csv", "fit.json", "fit_a.json", "traj.csv"}
+    assert expected <= set(written[True])
+    assert written[True] == written[False]
 
 
 @pytest.mark.parametrize(

@@ -287,6 +287,49 @@ def test_predict_peak_monotone_in_population():
     assert means[0] < means[1] < means[2]
 
 
+EPOCH_CASES = {
+    # name: (params, i_init, r_init, horizon, beta_t)
+    "beta-t": (SIR, 10, 0, 40, np.linspace(0.9, 0.1, 40)),
+    "gamma-zero": (ModelParams(n=500, beta=0.8, gamma=0.0, p=0.01, regime=Regime.BASS), 5, 0, 60, None),
+    "s-exhausted": (ModelParams(n=50, beta=4.0, gamma=0.1, regime=Regime.SIR), 10, 2, 30, None),
+    "i-hits-zero": (ModelParams(n=10_000, beta=1.0, gamma=2.0, regime=Regime.SIR), 5, 0, 30, None),
+    "innovation": (ModelParams(n=2_000, beta=0.5, gamma=0.25, p=1e-3), 0, 0, 40, None),
+}
+
+
+@pytest.mark.parametrize("case", EPOCH_CASES, ids=list(EPOCH_CASES))
+def test_epoch_step_matches_both_loops(case):
+    """simulate_discrete and predict_peak share one epoch step; each gives
+    exactly the series and forecast of its own loop before the two shared
+    it (tests/reference_kernels.py)."""
+    from reference_kernels import reference_predict_peak, reference_simulate_discrete
+
+    from difflim.discrete import FitResult
+
+    params, i_init, r_init, horizon, beta_t = EPOCH_CASES[case]
+    args = (params, i_init, r_init, horizon, RngStream(seed=31, stream_id=4))
+    got = simulate_discrete(*args, instance_id=case, beta_t=beta_t)
+    want = reference_simulate_discrete(*args, instance_id=case, beta_t=beta_t)
+    assert (got.instance_id, got.i_init, got.r_init) == (want.instance_id, want.i_init, want.r_init)
+    for a, b in ((got.delta_c, want.delta_c), (got.delta_r, want.delta_r)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    i_path = i_init + np.cumsum(got.delta_c) - np.cumsum(got.delta_r)
+    if case == "s-exhausted":
+        assert got.c_total == params.n
+    if case == "i-hits-zero":
+        assert i_path[-1] == 0
+    if case == "innovation":
+        assert got.delta_c[0] > 0 and params.a > 0
+
+    fit = FitResult(
+        a_hat=params.a, beta_hat=params.beta, n_hat=float(params.n), loglik=0.0, converged=True,
+        bounds={}, trace=[],
+    )
+    forecast = (got, fit, params.gamma, 50, 30, RngStream(seed=32))
+    assert predict_peak(*forecast) == reference_predict_peak(*forecast)
+
+
 def test_counts_csv_round_trip(tmp_path):
     a = simulate_discrete(SIR, 7, 2, 25, RngStream(seed=5), instance_id="alpha")
     b = simulate_discrete(SIR, 3, 0, 25, RngStream(seed=6), instance_id="beta")

@@ -8,7 +8,6 @@ from difflim.core import ValidationError
 from difflim.experiments import (
     STUDY_SCHEMAS,
     StudyConfig,
-    bass_loglik_scan,
     default_sir_i0,
     mle_population_bass,
     run_study,
@@ -161,12 +160,8 @@ def test_bass_population_mle_sanity():
     d = np.arange(m) + i0
     lam = (beta * d + a) * (n - d) / n
     t_col = 1.0 / lam
-    n_hat = mle_population_bass(t_col, i0, beta, a)
+    [n_hat] = mle_population_bass(np.array([((beta * d + a) * d) @ t_col]), m, i0)
     assert n_hat == pytest.approx(n, rel=2e-3)
-    # scan helper agrees with a direct dense evaluation
-    grid = np.array([3000.0, 5000.0, 9000.0])
-    vals = bass_loglik_scan(t_col, i0, beta, a, grid)
-    assert int(np.argmax(vals)) == 1
 
 
 def test_study_bit_reproducibility(tmp_path):
@@ -236,19 +231,58 @@ def test_population_mle_matches_per_replicate_golden_section():
     params = ModelParams(n=n, beta=beta, gamma=0.0, p=a / n, regime=Regime.BASS)
     for idx, (m, row) in enumerate(zip(ms, res.rows)):
         block = simulate_paths(params, i0, 0, m, RngStream(seed=seed, stream_id=500 * idx), R)
-        new = mle_population_bass(block.T, i0, beta, a)
+        d = np.arange(m) + i0
+        w = (beta * d + a) * d
+        new = mle_population_bass(w @ block.T, m, i0)
         old = np.array([reference_mle_population_bass(block.T[:, r], i0, beta, a) for r in range(R)])
         for r in range(R):
             at_new, at_old = reference_bass_loglik_scan(block.T[:, r], i0, beta, a, np.array([new[r], old[r]]))
             assert at_new >= at_old - 1e-9, (m, r)
         np.testing.assert_allclose(new, old, rtol=1e-4)
-        assert mle_population_bass(block.T[:, 7], i0, beta, a) == pytest.approx(new[7], rel=1e-12)
+        assert mle_population_bass(np.array([w @ block.T[:, 7]]), m, i0)[0] == pytest.approx(new[7], rel=1e-12)
         old_hits = int(np.sum(old > 0.99 * 1e3 * (m + i0)))
         assert row["upper_hits"] == old_hits
         old_pass = float(np.mean((old - n) ** 2 / n ** 2)) >= 0.8 * cramer_rao_rel_error(fisher_bass(n, i0, m))
         assert row["pass"] == old_pass
         assert row["mean_rel_error_se"] > 0
     assert res.rows[0]["upper_hits"] > 0 and res.rows[-1]["upper_hits"] == 0
+
+
+def test_digamma_matches_scipy():
+    """The library psi against scipy.special.digamma on 1e5 log-spaced
+    points of [1, 1e7] and on every argument the population MLE's bracket
+    ends take at the benchmark's sizes (n = 1e4, m = 465 and 1860, i0 = 1),
+    within 1e-14 of max(1, |psi|)."""
+    from scipy.special import digamma
+
+    x = [np.geomspace(1.0, 1e7, 100_000)]
+    for m in (465, 1860):
+        c_m = m + 1
+        grid = np.exp(np.linspace(np.log(c_m * (1.0 + 1e-9)), np.log(1e3 * c_m), experiments.POPULATION_GRID))
+        x += [grid, grid - m]  # n - i0 + 1 and n - i0 - m + 1
+    x = np.concatenate(x)
+    want = digamma(x)
+    assert np.max(np.abs(experiments._digamma(x) - want) / np.maximum(1.0, np.abs(want))) <= 1e-14
+
+
+@pytest.mark.parametrize("m, R", [(465, 200), (1860, 200), (1860, 1), (0, 5)])
+def test_slab_products_match_block_product(m, R):
+    """RelErrorScaling's v = w @ T summed slab by slab against the product
+    on the collected block.  Both add the same m positive products in
+    different orders, so each lies within about m unit roundoffs of the
+    exact sum; the bound is m ulps of v."""
+    from difflim.core import ModelParams, Regime, RngStream
+    from difflim.simulate import simulate_paths
+
+    n, beta, a, i0 = 1e4, 0.5, 0.5, 1
+    params = ModelParams(n=n, beta=beta, gamma=0.0, p=a / n, regime=Regime.BASS)
+    rng = RngStream(seed=11, stream_id=500)
+    d = np.arange(m) + i0
+    w = (beta * d + a) * d
+    got = experiments._slab_products(params, i0, m, rng, R, w)
+    want = w @ simulate_paths(params, i0, 0, m, rng, R).T
+    assert got.shape == (R,)
+    assert np.all(np.abs(got - want) <= m * np.finfo(float).eps * want)
 
 
 def test_dominance_walk_chunks_match_one_draw():

@@ -19,7 +19,6 @@ from difflim.simulate import (
     TERMINATED,
     ColumnTotals,
     SimSpec,
-    dominated_walk,
     infection_probability,
     jump_rate,
     next_jump,
@@ -27,7 +26,6 @@ from difflim.simulate import (
     simulate_batch,
     simulate_ledger,
     simulate_paths,
-    walk_stopping_time,
 )
 
 from reference_kernels import reference_simulate_paths
@@ -176,29 +174,6 @@ def test_spec_rejects_degenerate_start():
         SimSpec(params=SIR, i0=90, r0=20, max_jumps=5, rng=RngStream(seed=0))
     with pytest.raises(ValidationError):
         SimSpec(params=SIR, i0=1, r0=0, max_jumps=0, rng=RngStream(seed=0))
-
-
-def test_dominated_walk_never_stops_at_p_one():
-    spec = SimSpec(params=SIR, i0=1, r0=0, max_jumps=50, rng=RngStream(seed=6))
-    walk = dominated_walk(spec, p_bern=1.0)
-    assert list(walk) == [1 + k for k in range(51)]
-    assert walk_stopping_time(walk, 1, 0) is None
-
-
-def test_dominated_walk_stops_immediately_at_p_zero():
-    spec = SimSpec(params=SIR, i0=1, r0=0, max_jumps=10, rng=RngStream(seed=6))
-    walk = dominated_walk(spec, p_bern=0.0)
-    # A_1 = 1 <= r_1 = 1, frozen from there on
-    assert walk_stopping_time(walk, 1, 0) == 1
-    assert list(walk[1:]) == [1] * 10
-
-
-def test_dominated_walk_freezes_after_first_hit():
-    spec = SimSpec(params=SIR, i0=2, r0=0, max_jumps=400, rng=RngStream(seed=13))
-    walk = dominated_walk(spec, p_bern=0.55)
-    tau = walk_stopping_time(walk, 2, 0)
-    if tau is not None:
-        assert np.all(walk[tau:] == walk[tau])
 
 
 def test_lockstep_block_consistency():
