@@ -330,21 +330,25 @@ def dominance_study(config: StudyConfig) -> StudyResult:
 
         rng = RngStream(seed=config.seed, stream_id=10_000 * idx)
         # Only the final row, alive after m jumps, is read.
-        for k0, slab in path_slabs(params, i0, r0, m, rng, R):
+        for k0, slab in path_slabs(params, i0, r0, m, rng, R, times=False):
             if k0 + slab.m == m:
                 p_tau = float(1.0 - np.mean(slab.alive[-1]))
 
         # The walk is drawn in row chunks of at most WALK_CHUNK_DOUBLES
         # uniforms: the same stream, in the same row-major order, as one
-        # (R, m) draw.
+        # (R, m) draw.  With S_k the walk's successes, the stopping condition
+        # 2(i0 + r0 + S_k) <= i0 + k + 2 r0 is 2 S_k - k <= -i0, tested in
+        # integers on the running minimum.
         gen = rng.substream(1).generator()
-        ks = np.arange(1, m + 1)
+        ks = np.arange(1, m + 1, dtype=np.int32)
         chunk = max(1, WALK_CHUNK_DOUBLES // m)
         stopped = np.empty(R, dtype=bool)
         for start in range(0, R, chunk):
             stop = min(start + chunk, R)
-            walk = i0 + r0 + np.cumsum(gen.random((stop - start, m)) < p_walk, axis=1, dtype=np.int64)
-            stopped[start:stop] = np.any(2 * walk <= i0 + ks[None, :] + 2 * r0, axis=1)
+            walk = np.cumsum(gen.random((stop - start, m)) < p_walk, axis=1, dtype=np.int32)
+            walk *= 2
+            walk -= ks
+            stopped[start:stop] = walk.min(axis=1) <= -i0
         p_tau_walk = float(np.mean(stopped))
 
         sigma = math.sqrt(max(p_tau_walk * (1 - p_tau_walk), 0.25 / R) / R)
@@ -484,10 +488,16 @@ def mle_population_bass(v: np.ndarray, m: int, i0: int, upper_factor: float = 1e
     rows = np.arange(len(v))
     ends = np.where(vals[rows, j_hi] > vals[rows, j_lo], hi, lo)
     bracketed = (slope(lo) > 0) & (slope(hi) <= 0)
-    for _ in range(64):  # halves a bracket under 1 in log n down to rounding
+    # Halves a bracket under 1 in log n down to rounding.  The slope is a
+    # fixed function of the brackets, so once an iteration moves no end,
+    # every later one would repeat it: stopping there is exact.
+    for _ in range(64):
         mid = 0.5 * (lo + hi)
         up = slope(mid) > 0
-        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        new_lo, new_hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     return np.exp(np.where(bracketed, 0.5 * (lo + hi), ends))
 
 

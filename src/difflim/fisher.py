@@ -113,6 +113,14 @@ def sir_bracket(c, n: float, beta: float, gamma: float):
         return c ** 2 / (n ** 2 * (n - c) * (n - c + (gamma / beta) * n))
 
 
+def _check_sir_horizon(params: ModelParams, c0: int, m: int) -> None:
+    """With gamma > 0 a path can be live at every count up to c0 + m - 1; at
+    c = n the bracket is infinite, so such a horizon is refused.  With
+    gamma = 0 the path stops when it fills the population."""
+    if params.gamma > 0 and c0 + m > params.n:
+        raise ValidationError("observation horizon exceeds population")
+
+
 def fisher_sir_mc(
     params: ModelParams,
     i0: int,
@@ -137,7 +145,13 @@ def fisher_sir_mc(
         raise ValidationError("requires beta > 0")
     if replicates < 100:
         raise ValidationError("replicates must be >= 100")
+    if r0 < 0:
+        raise ValidationError("r0 must be >= 0")
     n, beta, gamma = params.n, params.beta, params.gamma
+    _check_sir_horizon(params, i0 + r0, m)
+    # 0 <= C_{k-1} <= i0 + r0 + m - 1, so the bracket is tabulated once on
+    # those counts and gathered per slab.
+    table = sir_bracket(np.arange(i0 + r0 + m), n, beta, gamma)
 
     per_k_sum = np.zeros(m)
     survival_sum = np.zeros(m)
@@ -150,12 +164,11 @@ def fisher_sir_mc(
         stream = rng.substream(n_chunks)
         streams.append([stream.seed, stream.stream_id])
         chunk_totals = ColumnTotals(m, r)
-        for k0, slab in path_slabs(params, i0, r0, m, stream, r):
+        for k0, slab in path_slabs(params, i0, r0, m, stream, r, times=False):
             # C_{k-1} and E_{k-1} for k = k0+1..k1 are the slab's rows but its last.
             rows = slice(k0, k0 + slab.m)
-            c_prev = slab.C[:-1].astype(float)
             alive_prev = slab.alive[:-1]
-            contrib = np.where(alive_prev, sir_bracket(c_prev, n, beta, gamma), 0.0)
+            contrib = np.where(alive_prev, table[slab.C[:-1]], 0.0)
             per_k_sum[rows] += contrib.sum(axis=1)
             survival_sum[rows] += alive_prev.sum(axis=1)
             chunk_totals.add(contrib)
@@ -191,6 +204,7 @@ def fisher_sir_exact(params: ModelParams, i0: int, r0: int, m: int) -> FisherRep
         raise ValidationError("exact recursion is for small n (<= 2000)")
     n, beta, gamma = params.n, params.beta, params.gamma
     c0 = i0 + r0
+    _check_sir_horizon(params, c0, m)
     size = int(min(c0 + m, n)) + 1
     prob = np.zeros(size)
     if 2 * c0 > i0 + 2 * r0:
@@ -223,12 +237,15 @@ def _slab_loglik(slab, beta: float, gamma: float, a: float):
     eta = s(beta*I + a) / (s(beta*I + a) + (n'gamma)*I).  The n'-free
     arrays are computed once here; each call evaluates those float
     operations, in that order, in place in the slab's buffers and returns a
-    view that the next call overwrites."""
-    c_prev = slab.C[:-1].astype(float)
-    i_prev = slab.infected[:-1].astype(float)
-    dead = ~slab.alive[:-1]
-    t_obs = np.where(dead, 0.0, slab.T)
+    view that the next call overwrites.  With gamma = 0 every column has
+    the same counts, so lam and log(lam) are computed on column 0 alone and
+    broadcast."""
+    cols = slice(0, 1) if gamma == 0 else slice(None)
+    c_prev = slab.C[:-1, cols].astype(float)
+    i_prev = slab.infected[:-1, cols].astype(float)
+    dead = ~slab.alive[:-1, cols]
     s, lam = np.empty_like(c_prev), np.empty_like(c_prev)
+    terms = np.empty(slab.T.shape)
     if gamma > 0:
         stepped = slab.C[1:] > slab.C[:-1]
         gamma_i = gamma * i_prev
@@ -246,10 +263,11 @@ def _slab_loglik(slab, beta: float, gamma: float, a: float):
         np.add(lam, s, out=lam)
         if gamma > 0:
             np.add(lam, gamma_i, out=lam)
+        # Stopped rows have T = inf and are zeroed at the end.
         with np.errstate(divide="ignore", invalid="ignore"):
-            ll = np.log(lam, out=s)
-            np.multiply(lam, t_obs, out=lam)
-            ll -= lam
+            log_lam = np.log(lam, out=s)
+            ll = np.multiply(lam, slab.T, out=terms)
+            np.subtract(log_lam, ll, out=ll)
             if gamma > 0:
                 np.multiply(i_prev, nprime * gamma, out=lam)
                 np.add(lam, num, out=lam)

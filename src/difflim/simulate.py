@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -165,10 +166,20 @@ def simulate_batch(spec: SimSpec, replicates: int, parallelism: int = 1) -> list
 # the same draws as two successive random(R) calls for step k0 + j.  Each
 # block becomes one slab of K rows, handed to the consumer before the next
 # block is drawn, so a reduction over rows never holds more than K rows.
+# A uniform that no one reads keeps its place in the stream but is jumped
+# over by Philox counter arithmetic (``_skip``) instead of being drawn.
 # ---------------------------------------------------------------------------
 
 # At most this many uniforms per (K, 2, R) block, i.e. 512 KB of doubles.
 _BLOCK_DOUBLES = 1 << 16
+
+# Jumping over an unread row takes two more Python calls per step (the read
+# row's own random(out=row), then advance + random_raw), where drawing it
+# costs R doubles at a few ns each.  Measured on a 2-vCPU Xeon VM as the
+# median time ratio of 15 alternating runs, per-row skipping against block
+# draws: 1.11-1.12 at R = 512, 1.00-1.01 at 768, 0.88-0.96 at 1024 and
+# 0.81-0.89 at 2048, for SIR counts and gamma = 0 holding times alike.
+_SKIP_MIN_R = 1024
 
 
 @dataclass
@@ -180,20 +191,20 @@ class PathBlock:
 
     A slab from ``path_slabs`` is a PathBlock of the rows after k0 jumps:
     T[j] is the (k0 + j + 1)-th holding time and C[j] the count after
-    k0 + j jumps."""
+    k0 + j jumps; T is None when the holding times were not asked for."""
 
-    T: np.ndarray
+    T: Optional[np.ndarray]
     C: np.ndarray
     alive: np.ndarray
     infected: np.ndarray
 
     @property
     def m(self) -> int:
-        return self.T.shape[0]
+        return self.C.shape[0] - 1
 
     @property
     def replicates(self) -> int:
-        return self.T.shape[1]
+        return self.C.shape[1]
 
 
 class ColumnTotals:
@@ -254,6 +265,7 @@ def path_slabs(
     m: int,
     rng: RngStream,
     replicates: int,
+    times: bool = True,
 ):
     """The paths of ``simulate_paths``, one slab of rows at a time: an
     iterator of (k0, slab) with slab a PathBlock of rows k0..k1 (T rows
@@ -265,24 +277,28 @@ def path_slabs(
     Step k of every column computes the rate (beta*S/N)*I + p*S + gamma*I
     and the infection probability from the same float expressions as
     ``jump_rate`` and ``infection_probability``; a column whose process has
-    stopped (i = 0 or i = n), or whose rate is zero, keeps its state and
-    gets T = inf.  With gamma = 0 the counts are deterministic, so they are
-    stepped once for all columns and only the holding times are drawn per
-    column.  Once no column can jump, the frozen rows that remain are
-    handed out without drawing.
+    stopped (i = 0 or i = n), or whose rate is not positive, keeps its
+    state and gets T = inf.  With gamma = 0 the counts are deterministic, so
+    they are stepped once for all columns and only the holding times are
+    drawn per column.  Once no column can jump, the frozen rows that remain
+    are handed out without drawing.
+
+    With ``times=False`` every slab has T = None and the holding times are
+    neither computed nor their uniforms drawn; C, alive and infected are
+    those of ``times=True`` bit for bit.
     """
     # Not a generator itself, so that bad arguments raise at the call.
     validate_params(params)
     if i0 < 1:
         raise ValidationError("i0 must be >= 1")
-    return _slabs(params, float(params.n), i0, r0, m, rng, replicates)
+    return _slabs(params, float(params.n), i0, r0, m, rng, replicates, times)
 
 
-def _slabs(params, n, i0, r0, m, rng, R):
+def _slabs(params, n, i0, r0, m, rng, R, times):
     K = max(1, _BLOCK_DOUBLES // max(2 * R, 1))
     rows = min(K, m)
     buf = PathBlock(
-        T=np.empty((rows, R)),
+        T=np.empty((rows, R)) if times else None,
         C=np.empty((rows + 1, R), dtype=np.int64),
         alive=np.empty((rows + 1, R), dtype=bool),
         infected=np.empty((rows + 1, R), dtype=np.int64),
@@ -295,14 +311,12 @@ def _slabs(params, n, i0, r0, m, rng, R):
         yield 0, buf
         return
 
-    blocks = _uniform_blocks(rng.generator(), m, R, K)
-    if params.gamma == 0:
-        steps = yield from _pure_adoption_slabs(params, n, i0, r0, m, blocks, buf)
-    else:
-        steps = yield from _lockstep_slabs(params, n, i0, r0, blocks, buf)
+    kernel = _pure_adoption_slabs if params.gamma == 0 else _lockstep_slabs
+    steps = yield from kernel(params, n, i0, r0, m, rng.generator(), buf)
     # Row 0 of the buffer now holds the state after the last simulated
     # step; no column can jump from it, so the remaining rows repeat it.
-    buf.T.fill(np.inf)
+    if times:
+        buf.T.fill(np.inf)
     buf.C[1:] = buf.C[0]
     buf.alive[1:] = buf.alive[0]
     buf.infected[1:] = buf.infected[0]
@@ -312,7 +326,8 @@ def _slabs(params, n, i0, r0, m, rng, R):
 
 def _head(buf: PathBlock, kb: int) -> PathBlock:
     """The slab of the buffer's first kb steps."""
-    return PathBlock(T=buf.T[:kb], C=buf.C[: kb + 1], alive=buf.alive[: kb + 1], infected=buf.infected[: kb + 1])
+    T = None if buf.T is None else buf.T[:kb]
+    return PathBlock(T=T, C=buf.C[: kb + 1], alive=buf.alive[: kb + 1], infected=buf.infected[: kb + 1])
 
 
 def _carry(buf: PathBlock, kb: int) -> None:
@@ -323,15 +338,48 @@ def _carry(buf: PathBlock, kb: int) -> None:
     buf.infected[0] = buf.infected[kb]
 
 
-def _uniform_blocks(gen: np.random.Generator, m: int, R: int, K: int):
+def _skip(bitgen: np.random.Philox, drawn: int, q: int) -> None:
+    """Move a Philox stream that has handed out ``drawn`` doubles on by q
+    doubles without making them.  Philox makes four 64-bit outputs per
+    counter value, and a double takes one output from that buffer; so the
+    -drawn % 4 outputs left in the buffer are dropped, the counter is
+    advanced by whole blocks of four (``advance`` also empties the buffer),
+    and the remaining 0-3 outputs are drawn raw."""
+    left = -drawn % 4
+    if q <= left:
+        bitgen.random_raw(q)
+        return
+    q -= left
+    bitgen.advance(q // 4)
+    bitgen.random_raw(q % 4)
+
+
+def _uniform_blocks(gen: np.random.Generator, m: int, R: int, K: int, read: tuple):
     """Yield (k0, U) with U of shape (K, 2, R): U[j, 0] is the holding-time
     and U[j, 1] the jump-type uniform of step k0 + j + 1.  U is one reused
     buffer, overwritten by the next block; a consumer that stops early
-    leaves the rest of the stream undrawn."""
+    leaves the rest of the stream undrawn.
+
+    ``read`` names the uniforms the consumer reads.  If it reads only one
+    and R >= _SKIP_MIN_R, each step's read row is drawn on its own and the
+    other row is skipped (``_skip``), left holding stale values; every
+    read row has the bits of the block draw."""
     buf = np.empty((min(K, m), 2, R))
+    skip = len(read) == 1 and R >= _SKIP_MIN_R
+    bitgen = gen.bit_generator
     for k0 in range(0, m, K):
         u = buf[: min(K, m - k0)]
-        gen.random(out=u)
+        if not skip:
+            gen.random(out=u)
+        else:
+            (x,) = read
+            for j, row in enumerate(u[:, x]):
+                drawn = 2 * R * (k0 + j)  # doubles before step k0 + j + 1
+                if x == 1:
+                    _skip(bitgen, drawn, R)
+                gen.random(out=row)
+                if x == 0:
+                    _skip(bitgen, drawn + R, R)
         yield k0, u
 
 
@@ -345,14 +393,14 @@ def _exp_holding_numerators(u_time: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pure_adoption_slabs(params, n, i0, r0, m, blocks, buf):
+def _pure_adoption_slabs(params, n, i0, r0, m, gen, buf):
     """gamma = 0: the infection probability is num / (num + 0) = num / num,
     exactly 1 (above every uniform in [0, 1)) unless num is 0 or inf, where
     it is NaN (below none).  So every column follows one count path, stepped
     here in scalar floats with the lockstep expressions, and the holding
     times are -log1p(-u) / lam_k written block by block.  The jump-type
-    uniforms are drawn with the rest and never read.  Returns the number of
-    jumps on the path."""
+    uniforms are never read, and without T no uniform is.  Returns the
+    number of jumps on the path."""
     beta, gamma, p = params.beta, params.gamma, params.p
     s, i, rr = n - i0 - r0, float(i0), float(r0)
     live = 0 < i < n
@@ -376,14 +424,16 @@ def _pure_adoption_slabs(params, n, i0, r0, m, blocks, buf):
         alive[k] = live
         infected[k] = int(i) if live else 0
         steps = k
-    for k0, u in blocks:
-        k1 = min(k0 + len(u), steps)
-        if k1 <= k0:
-            break
-        kb = k1 - k0
-        t = _exp_holding_numerators(u[:kb, 0], buf.T[:kb])
-        t /= lam[k0:k1, None]
-        after = slice(k0 + 1, k1 + 1)
+    K, R = buf.C.shape[0] - 1, buf.C.shape[1]
+    if buf.T is not None:
+        blocks = _uniform_blocks(gen, steps, R, K, read=(0,))
+    for k0 in range(0, steps, K):
+        kb = min(K, steps - k0)
+        if buf.T is not None:
+            _, u = next(blocks)
+            t = _exp_holding_numerators(u[:, 0], buf.T[:kb])
+            t /= lam[k0 : k0 + kb, None]
+        after = slice(k0 + 1, k0 + kb + 1)
         buf.C[1 : kb + 1] = counts[after, None]
         buf.alive[1 : kb + 1] = alive[after, None]
         buf.infected[1 : kb + 1] = infected[after, None]
@@ -392,15 +442,19 @@ def _pure_adoption_slabs(params, n, i0, r0, m, blocks, buf):
     return steps
 
 
-def _lockstep_slabs(params, n, i0, r0, blocks, buf):
+def _lockstep_slabs(params, n, i0, r0, m, gen, buf):
     """gamma > 0: every column stepped in place, one block of K steps at a
     time.  Rates, holding-time numerators and per-step flags of a block are
     kept in (K, R) buffers, so T and the infected counts are written once
-    per block.  Stops drawing once no column is live.  Returns the number
-    of steps simulated."""
+    per block.  Without T only the jump-type uniforms are drawn, and the
+    rates are computed only at steps where one may not be positive.  Stops
+    drawing once no column is live.  Returns the number of steps
+    simulated."""
     beta, gamma, p = params.beta, params.gamma, params.p
     T, C, alive, infected = buf.T, buf.C, buf.alive, buf.infected
-    K, R = T.shape
+    K, R = C.shape[0] - 1, C.shape[1]
+    times = T is not None
+    blocks = _uniform_blocks(gen, m, R, K, read=(0, 1) if times else (1,))
     pn, ngamma = p * n, n * gamma
     s = np.full(R, n - i0 - r0, dtype=float)
     tmp, num = np.empty(R), np.empty(R)
@@ -409,6 +463,11 @@ def _lockstep_slabs(params, n, i0, r0, blocks, buf):
     stay, ups = np.empty((K, R), dtype=bool), np.empty((K, R), dtype=bool)
     i = np.empty((K + 1, R))  # i[j]: infected before step k0 + j + 1
     i[0] = float(i0)
+    # Before step k every count is at most i0 + r0 + k - 1, so s >= 0 for
+    # k <= s_last.  There a live column (i >= 1, gamma*i > 0) has a positive
+    # rate and may jump.  Later (non-integer n, or i0 + r0 > n) a live
+    # column's rate can be <= 0, which freezes it, so the rate is tested.
+    s_last = n - i0 - r0 + 1
     steps = 0
     for k0, u in blocks:
         kb = len(u)
@@ -417,23 +476,28 @@ def _lockstep_slabs(params, n, i0, r0, blocks, buf):
         # The errstate is entered and left within the block, never across
         # a yield, so the consumer's code does not run under it.
         with np.errstate(divide="ignore", invalid="ignore"):
-            _exp_holding_numerators(u[:, 0], e[:kb])
+            if times:
+                _exp_holding_numerators(u[:, 0], e[:kb])
             for j in range(kb):
                 k = k0 + j + 1
-                # lam = (beta*s/n)*i + p*s + gamma*i, term by term.  With
-                # p = 0 the p*s and p*n terms are +-0.0, and adding them
-                # changes no bit, so they are left out.
                 lj, ok, up, now = lam[j], stay[j], ups[j], alive[j + 1]
-                np.multiply(s, beta, out=lj)
-                lj /= n
-                lj *= i[j]
-                if p:
-                    np.multiply(s, p, out=tmp)
+                if times or k > s_last:
+                    # lam = (beta*s/n)*i + p*s + gamma*i, term by term.  With
+                    # p = 0 the p*s and p*n terms are +-0.0, and adding them
+                    # changes no bit, so they are left out.
+                    np.multiply(s, beta, out=lj)
+                    lj /= n
+                    lj *= i[j]
+                    if p:
+                        np.multiply(s, p, out=tmp)
+                        lj += tmp
+                    np.multiply(i[j], gamma, out=tmp)
                     lj += tmp
-                np.multiply(i[j], gamma, out=tmp)
-                lj += tmp
-                np.greater(lj, 0.0, out=ok)
-                ok &= alive[j]
+                if k > s_last:
+                    np.greater(lj, 0.0, out=ok)
+                    ok &= alive[j]
+                else:
+                    ok[:] = alive[j]
                 # p_inf = num / (num + (n*gamma)*i), num = s*(beta*i + p*n).
                 np.multiply(i[j], beta, out=tmp)
                 if p:
@@ -457,9 +521,10 @@ def _lockstep_slabs(params, n, i0, r0, blocks, buf):
                 if i0 + k >= n:
                     np.less(i[j + 1], n, out=flag)
                     now &= flag
-            np.divide(e[:kb], lam[:kb], out=T[:kb])
-            np.logical_not(stay[:kb], out=stay[:kb])
-            np.copyto(T[:kb], np.inf, where=stay[:kb])
+            if times:
+                np.divide(e[:kb], lam[:kb], out=T[:kb])
+                np.logical_not(stay[:kb], out=stay[:kb])
+                np.copyto(T[:kb], np.inf, where=stay[:kb])
         np.cumsum(ups[:kb], axis=0, out=C[1 : kb + 1])
         C[1 : kb + 1] += C[0]
         np.multiply(i[1 : kb + 1], alive[1 : kb + 1], out=infected[1 : kb + 1], casting="unsafe")

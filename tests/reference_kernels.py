@@ -17,6 +17,8 @@ production code against:
 - ``reference_mle_population_bass``: ``difflim.experiments.mle_population_bass``
   as one golden-section search per replicate, with its loglik scan
   ``reference_bass_loglik_scan``.
+- ``reference_mle_population_bisect64``: ``mle_population_bass`` before its
+  bisection stopped at the first iteration that moves no bracket end.
 - ``reference_integrate``: ``difflim.fluid.integrate`` on scipy's
   ``solve_ivp(method="DOP853", dense_output=True)``.
 - ``reference_simulate_discrete`` and ``reference_predict_peak``:
@@ -338,6 +340,36 @@ def reference_mle_population_bass(t_col, i0, beta, a, upper_factor=1e3):
         return reference_bass_loglik_scan(t_col, i0, beta, a, np.array([math.exp(log_n)]))[0]
 
     return math.exp(_reference_golden_max(f, lo_j, hi_j))
+
+
+def reference_mle_population_bisect64(v, m, i0, upper_factor=1e3):
+    """``mle_population_bass`` with its bisection run all 64 iterations."""
+    from difflim.experiments import POPULATION_GRID, _digamma
+
+    v = np.asarray(v, dtype=float)
+    c_m = m + i0
+    log_grid = np.linspace(math.log(c_m * (1.0 + 1e-9)), math.log(upper_factor * c_m), POPULATION_GRID)
+    grid = np.exp(log_grid)
+    d = np.arange(m, dtype=float) + i0
+    n_term = np.log(grid[:, None] - d[None, :]).sum(axis=1) - m * np.log(grid)
+    vals = n_term[None, :] + v[:, None] / grid[None, :]
+    j = np.argmax(vals, axis=1)
+    j_lo, j_hi = np.maximum(j - 1, 0), np.minimum(j + 1, POPULATION_GRID - 1)
+
+    def slope(log_n):
+        n = np.exp(log_n)
+        psi = _digamma(np.concatenate((n - i0 + 1, n - i0 - m + 1)))
+        return n * (psi[: len(n)] - psi[len(n) :]) - m - v / n
+
+    lo, hi = log_grid[j_lo], log_grid[j_hi]
+    rows = np.arange(len(v))
+    ends = np.where(vals[rows, j_hi] > vals[rows, j_lo], hi, lo)
+    bracketed = (slope(lo) > 0) & (slope(hi) <= 0)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        up = slope(mid) > 0
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    return np.exp(np.where(bracketed, 0.5 * (lo + hi), ends))
 
 
 def reference_integrate(params, s0, i0, r0, t_max=None, tol=1e-10, samples=1001):

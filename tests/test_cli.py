@@ -441,6 +441,19 @@ def test_fisher_sir_past_full_population_writes_nothing_to_stderr(tmp_path):
     assert proc.stdout.startswith("J_total")
 
 
+def test_fisher_sir_horizon_past_population_is_a_validation_error(tmp_path):
+    """With gamma > 0 a horizon that lets a live path reach C = n is refused
+    with exit 1, not answered with an infinite total and a numpy warning."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "difflim.cli", "fisher", "--model", "sir",
+         "--N", "30", "--beta", "0.5", "--gamma", "0.25", "--i0", "2", "-m", "60", "--replicates", "300"],
+        cwd=tmp_path, env=_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "difflim: error[validation]: observation horizon exceeds population\n"
+    assert proc.stdout == ""
+
+
 def _ledger_csv(path):
     assert run([
         "simulate", "--model", "sir", "--N", "500", "--beta", "0.5", "--gamma", "0.25",

@@ -301,7 +301,9 @@ def test_dominance_walk_chunks_match_one_draw():
     assert row["p_tau_walk"] == float(np.mean(stopped))
 
 
-@pytest.mark.parametrize("R", [1, 300])
+# R = 1025 is above the R at which the counts-only slabs skip the unread
+# holding-time uniforms.
+@pytest.mark.parametrize("R", [1, 300, 1025])
 def test_dominance_rows_match_materializing_reference(R):
     from reference_kernels import reference_dominance_study
 
@@ -337,3 +339,29 @@ def test_dominance_memory_stays_below_one_path_array():
     R = 2500
     cfg = StudyConfig("Dominance", {"points": [pt]}, replicates=R, seed=1)
     assert traced_peak_bytes(lambda: run_study(cfg)) < 8 * pt["m"] * R / 4
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 42, 46])
+def test_population_mle_early_stop_matches_64_bisections(seed, monkeypatch):
+    """Stopping the bisection at the first iteration that moves no bracket
+    end gives the bits of all 64 iterations, at the benchmark's
+    RelErrorScaling sizes (n = 1e4, m = 465 and 1860, R = 200), and it
+    does stop early."""
+    from reference_kernels import reference_mle_population_bisect64
+
+    from difflim.core import ModelParams, Regime, RngStream
+
+    n, beta, i0, R = 1e4, 0.5, 1, 200
+    a = beta
+    params = ModelParams(n=n, beta=beta, gamma=0.0, p=a / n, regime=Regime.BASS)
+    calls = []
+    digamma = experiments._digamma
+    monkeypatch.setattr(experiments, "_digamma", lambda x: calls.append(1) or digamma(x))
+    for idx, m in enumerate((465, 1860)):
+        d = np.arange(m, dtype=float) + i0
+        rng = RngStream(seed=seed, stream_id=500 * idx)
+        v = experiments._slab_products(params, i0, m, rng, R, (beta * d + a) * d)
+        calls.clear()
+        got = mle_population_bass(v, m, i0)
+        assert 2 + 1 <= len(calls) < 2 + 64
+        assert np.array_equal(got, reference_mle_population_bisect64(v, m, i0))

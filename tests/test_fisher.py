@@ -170,8 +170,13 @@ def test_score_oracle_h_robustness():
         (ModelParams(n=500, beta=0.5, gamma=0.25, regime=Regime.SIR), 10, 0, 40, 3000, 20000),
         (ModelParams(n=200, beta=0.5, gamma=0.4, regime=Regime.SIR), 1, 0, 60, 2500, 20000),
         (ModelParams(n=300, beta=0.6, gamma=0.2, p=0.01), 3, 1, 50, 2000, 20000),
+        # Chunks of 1025, 1025 and 499 replicates: odd R on both sides of
+        # the R at which gamma = 0 skips the unread jump-type uniforms.
+        (ModelParams(n=1000, beta=0.5, gamma=0.0, p=0.001, regime=Regime.BASS), 2, 0, 60, 2549, 1025),
     ],
-    ids=["bass", "bass-chunked", "sir", "sir-extinction", "general"],
+    # gamma = 0 reads only the holding-time uniforms: "bass" (R = 3000) skips
+    # the others, "bass-chunked" (R = 1000 and 500) draws them in blocks.
+    ids=["bass", "bass-chunked", "sir", "sir-extinction", "general", "bass-odd-R"],
 )
 def test_score_oracle_matches_reference_bit_for_bit(params, i0, r0, m, reps, chunk):
     """The hoisted, in-place oracle returns the very (j, se) of the
@@ -192,8 +197,12 @@ def test_score_oracle_matches_reference_bit_for_bit(params, i0, r0, m, reps, chu
         (ModelParams(n=300, beta=0.6, gamma=0.2, regime=Regime.SIR), 3, 2, 120, 150, MC_CHUNK),
         # gamma = 0: one count path, which fills the population at step 27.
         (ModelParams(n=30, beta=0.5, gamma=0.0, p=0.0, regime=Regime.SIR), 3, 0, 40, 200, MC_CHUNK),
+        (ModelParams(n=300, beta=0.6, gamma=0.2, regime=Regime.SIR), 3, 2, 120, 1027, MC_CHUNK),
     ],
-    ids=["workload-size", "beyond-one-chunk", "extinction", "r0", "gamma0-fills-population"],
+    # Counts-only slabs skip the unread holding-time uniforms at R >= 1024:
+    # "workload-size", "beyond-one-chunk" (its 4096-column chunk) and
+    # "odd-R" do; the other chunks draw them in blocks.
+    ids=["workload-size", "beyond-one-chunk", "extinction", "r0", "gamma0-fills-population", "odd-R"],
 )
 # Both versions evaluate the bracket at c = n once the population is full,
 # and mask it out, without a numpy warning.
@@ -205,6 +214,26 @@ def test_fisher_sir_mc_matches_materializing_reference(params, i0, r0, m, reps, 
     want = reference_fisher_sir_mc(params, i0, r0, m, reps, rng, chunk=chunk)
     assert np.array_equal(got.per_k, want.per_k) and np.array_equal(got.survival, want.survival)
     assert got.to_json_dict() == want.to_json_dict() and got.work == want.work
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["mc", "exact"])
+def test_sir_information_refuses_a_horizon_reaching_the_population(exact):
+    """With gamma > 0 and i0 + r0 + m > n a live path can sit at C = n, where
+    the bracket is infinite; both routes refuse such a horizon, as
+    fisher_bass does, and accept the longest one below it."""
+    params = ModelParams(n=30, beta=0.5, gamma=0.25, regime=Regime.SIR)
+
+    def info(m):
+        if exact:
+            return fisher_sir_exact(params, i0=2, r0=1, m=m)
+        return fisher_sir_mc(params, i0=2, r0=1, m=m, replicates=300, rng=RngStream(seed=0))
+
+    with pytest.raises(ValidationError, match="observation horizon exceeds population"):
+        info(28)
+    rep = info(27)
+    assert math.isfinite(rep.total) and rep.total > 0
+    if not exact:
+        assert math.isfinite(rep.mc_stderr)
 
 
 def traced_peak_bytes(fn) -> int:
@@ -276,6 +305,9 @@ def test_fisher_sir_mc_rejects_bad_inputs():
     bass = ModelParams(n=100, beta=0.5, gamma=0.0, p=0.1, regime=Regime.BASS)
     with pytest.raises(ValidationError):
         fisher_sir_mc(bass, i0=1, r0=0, m=10, replicates=200, rng=RngStream(seed=0))
+    # A negative count would index the bracket table from its end.
+    with pytest.raises(ValidationError, match="r0"):
+        fisher_sir_mc(SIR_SMALL, i0=2, r0=-5, m=10, replicates=200, rng=RngStream(seed=0))
 
 
 def test_report_serialization_round_trip():

@@ -280,6 +280,9 @@ PARITY_CASES = {
     "R-beyond-block-sir": (ModelParams(n=500, beta=0.5, gamma=0.25), 5, 0, 4, 40_000),
     "R-beyond-block-bass": (ModelParams(n=500, beta=0.5, gamma=0.0, p=0.002), 5, 0, 4, 40_000),
     "m0": (ModelParams(n=500, beta=0.5, gamma=0.25), 5, 0, 0, 10),
+    # With non-integer n an infection at S = 0.5 leaves S = -0.5, and a
+    # live column's rate (beta*S/n + gamma)*I is then negative: it freezes.
+    "negative-s-stall": (ModelParams(n=2.5, beta=10.0, gamma=0.1), 1, 1, 10, 50),
 }
 
 # S*(beta*I) would overflow to inf for I >= 2, making p_inf = inf/inf NaN
@@ -376,6 +379,8 @@ def test_parity_cases_reach_their_edge():
     assert frozen.alive.all() and np.all(frozen.C[3:] == 10) and np.all(frozen.infected[3:] == 6)
     assert np.isfinite(frozen.T[:3]).all() and np.isinf(frozen.T[3:]).all()
     assert block("dead-at-start").alive.sum() == 0
+    stall = block("negative-s-stall")
+    assert np.any(stall.alive[-1] & (stall.C[-1] > 2.5) & np.isinf(stall.T[-1]))
     for params, i0, r0, m, reps in OVERFLOW_CASES.values():
         with pytest.raises(ValidationError, match="overflow"):
             simulate_paths(params, i0, r0, m, RngStream(seed=7, stream_id=3), reps)
@@ -414,3 +419,40 @@ def test_ledger_matches_one_column_block(params, i0, r0):
         assert np.all(t_ledger[live] > 0) and np.all(t_block[live] > 0)
         ulps = np.abs(t_ledger[live].view(np.int64) - t_block[live].view(np.int64))
         assert ulps.max(initial=0) <= 2
+
+
+@pytest.mark.parametrize("drawn", range(8))
+def test_skip_lands_where_a_full_draw_would(drawn):
+    """From every offset into Philox's four-output buffer, skipping q
+    doubles leaves the stream where drawing them would, for q = 0..20 and
+    a q of many blocks."""
+    want = RngStream(seed=3, stream_id=9).generator().random(drawn + 5000)
+    for q in [*range(21), 4099]:
+        gen = RngStream(seed=3, stream_id=9).generator()
+        assert np.array_equal(gen.random(drawn), want[:drawn])
+        simulate._skip(gen.bit_generator, drawn, q)
+        assert np.array_equal(gen.random(8), want[drawn + q : drawn + q + 8]), q
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["case-R", "R-above-skip"])
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_counts_only_slabs_match_full_slabs(case, wide):
+    """path_slabs(..., times=False) gives the C, alive and infected of the
+    reference loop and no T, at the case's R and at an R where the unread
+    uniforms are skipped (odd, so the skips start at every buffer offset);
+    there the gamma = 0 holding times, drawn row by row, still match."""
+    params, i0, r0, m, reps = PARITY_CASES[case]
+    if wide:
+        reps = max(reps, simulate._SKIP_MIN_R + 1)
+    rng = RngStream(seed=7, stream_id=3)
+    want = reference_simulate_paths(params, i0, r0, m, rng, reps)
+    full = simulate_paths(params, i0, r0, m, rng, reps)
+    for name in ("T", "C", "alive", "infected"):
+        assert np.array_equal(getattr(full, name), getattr(want, name)), name
+    pieces = {"C": [], "alive": [], "infected": []}
+    for k0, slab in path_slabs(params, i0, r0, m, rng, reps, times=False):
+        assert slab.T is None
+        for name, rows in pieces.items():
+            rows.append(getattr(slab, name)[1 if k0 else 0 :].copy())
+    for name, rows in pieces.items():
+        assert np.array_equal(np.concatenate(rows), getattr(want, name)), name
