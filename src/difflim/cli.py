@@ -17,7 +17,6 @@ import argparse
 import json
 import logging
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -98,7 +97,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--max-jumps", "-m", type=int, required=True, help="observation horizon m (jumps)")
     sp.add_argument("--replicates", type=int, default=1, help="number of replicate ledgers")
     sp.add_argument("--seed", type=int, default=0, help="stream seed")
-    sp.add_argument("--threads", type=int, default=None, help="worker pool size (default DIFFLIM_THREADS or 1)")
+    sp.add_argument("--threads", type=int, default=None, help="ignored; replicates are simulated serially")
     sp.add_argument("--out", required=True, help="output CSV path")
     sp.add_argument("--strict", action="store_true", help="require beta > gamma")
     sp.add_argument(
@@ -170,13 +169,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _threads(args) -> int:
-    if args.threads:
-        return args.threads
-    env = os.environ.get("DIFFLIM_THREADS")
-    return int(env) if env else 1
-
-
 def _peak_rss_mb():
     """Peak resident set size of this process so far, in MB (ru_maxrss is in
     KB on Linux); None where the resource module is missing."""
@@ -222,7 +214,7 @@ def cmd_simulate(args) -> int:
         rng=RngStream(seed=args.seed),
     )
     t0 = time.perf_counter()
-    ledgers = simulate_batch(spec, args.replicates, parallelism=_threads(args))
+    ledgers = simulate_batch(spec, args.replicates)
     if args.replicates == 1:
         write_ledger_csv(ledgers[0], args.out)
     elif args.split_files:

@@ -194,31 +194,12 @@ class ObservationSet:
         )
         return ObservationSet(i0=ledger.i0, r0=ledger.r0, samples=samples)
 
-    def truncate(self, m: int) -> "ObservationSet":
-        if m > self.m:
-            raise ValidationError(f"cannot extend observation set of size {self.m} to {m}")
-        return ObservationSet(i0=self.i0, r0=self.r0, samples=self.samples[:m])
-
     def inter_arrivals(self) -> np.ndarray:
         return np.array([t for t, _ in self.samples], dtype=float)
 
     def counts(self) -> np.ndarray:
         """Cumulative counts C_1..C_m."""
         return np.array([c for _, c in self.samples], dtype=np.int64)
-
-    def alive_flags(self) -> np.ndarray:
-        """E_k for k = 1..m, reconstructed from the counts alone."""
-        return np.array(
-            [reconstruct_state(c, k + 1, self.i0, self.r0)[0] for k, (_, c) in enumerate(self.samples)]
-        )
-
-    def infected(self) -> np.ndarray:
-        """I_k for k = 1..m; zero where the process has stopped."""
-        out = np.zeros(self.m, dtype=np.int64)
-        for k, (_, c) in enumerate(self.samples):
-            alive, i_k = reconstruct_state(c, k + 1, self.i0, self.r0)
-            out[k] = i_k if alive else 0
-        return out
 
 
 def reconstruct_state(c_k: int, k: int, i0: int, r0: int) -> tuple[bool, int]:

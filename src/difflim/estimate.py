@@ -370,43 +370,17 @@ def _sum_expected_times(n: float, p: float, beta: float, count: int, exact_thres
     )
 
 
-def bass_peak_indices(n: float, p: float, beta: float, verify: bool = False) -> tuple[int, int]:
+def bass_peak_indices(n: float, p: float, beta: float) -> tuple[int, int]:
     """(k_cr, k_star): the index ceil(n^(2/3)) past which the population
-    becomes estimable, and the first index at which the expected holding
-    time stops decreasing, k_star = ceil(((1 - p/beta) n + 1)/2).
-
-    ``verify`` re-derives k_star by scanning E[T_k] (feasible for moderate
-    n); the scan is also the fallback when p >= beta.
+    becomes estimable, and the first index k >= 2 at which the expected
+    holding time stops decreasing.  E[T_k] >= E[T_{k-1}] exactly when
+    k >= ((1 - p/beta) n + 1)/2, so k_star = max(2, ceil(((1 - p/beta) n + 1)/2)).
+    That is 2 whenever p >= beta, which is tested first so that beta = 0
+    is never divided by.
     """
     k_cr = math.ceil(n ** (2.0 / 3.0))
-    if p < beta:
-        k_star = math.ceil(((1.0 - p / beta) * n + 1.0) / 2.0)
-        if verify:
-            scanned = _scan_peak_index(n, p, beta)
-            if scanned != k_star:
-                raise AssertionError(f"scan found {scanned}, closed form {k_star}")
-    else:
-        k_star = _scan_peak_index(n, p, beta)
+    k_star = 2 if p >= beta else max(2, math.ceil(((1.0 - p / beta) * n + 1.0) / 2.0))
     return k_cr, k_star
-
-
-def _scan_peak_index(n: float, p: float, beta: float, chunk: int = 1_000_000) -> int:
-    """First k >= 2 with E[T_k] >= E[T_{k-1}], by chunked scan."""
-    if n > 50_000_000:
-        raise ValidationError("definitional scan is infeasible at this n")
-    start = 2
-    prev = bass_expected_jump_time(n, p, beta, 1)
-    while start < n:
-        stop = int(min(start + chunk, n))
-        i = np.arange(start, stop, dtype=float)
-        vals = n / ((p * n + beta * i) * (n - i))
-        allv = np.concatenate(([prev], vals))
-        hits = np.nonzero(np.diff(allv) >= 0)[0]
-        if hits.size:
-            return start + int(hits[0])
-        prev = vals[-1]
-        start = stop
-    raise ValidationError("no peak index found")
 
 
 def bass_time_ratio(n: float, p: float, beta: float) -> float:

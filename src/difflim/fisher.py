@@ -143,6 +143,8 @@ def fisher_sir_mc(
         raise ValidationError("recovery-regime information requires p = 0")
     if params.beta <= 0:
         raise ValidationError("requires beta > 0")
+    if m < 0:
+        raise ValidationError("m must be non-negative")
     if replicates < 100:
         raise ValidationError("replicates must be >= 100")
     if r0 < 0:
@@ -179,7 +181,7 @@ def fisher_sir_mc(
     totals = np.concatenate(totals)
     per_k = per_k_sum / replicates
     survival = survival_sum / replicates
-    if survival[0] == 0:
+    if m and survival[0] == 0:
         raise ValidationError("no surviving paths at the first jump")
     stderr = float(np.std(totals, ddof=1) / math.sqrt(replicates))
     return _finish(
@@ -202,6 +204,8 @@ def fisher_sir_exact(params: ModelParams, i0: int, r0: int, m: int) -> FisherRep
         raise ValidationError("recovery-regime information requires p = 0")
     if params.n > 2000:
         raise ValidationError("exact recursion is for small n (<= 2000)")
+    if m < 0:
+        raise ValidationError("m must be non-negative")
     n, beta, gamma = params.n, params.beta, params.gamma
     c0 = i0 + r0
     _check_sir_horizon(params, c0, m)
@@ -314,15 +318,13 @@ def score_variance_oracle(
     n_chunks = 0
     while done < replicates:
         r = min(chunk, replicates - done)
-        # A column's log-likelihood is a sum of per-row terms, added slab by
-        # slab in row order from 0.0.
-        total_hi, total_lo = np.zeros(r), np.zeros(r)
+        # A column's log-likelihood is the sum of its per-row terms.
+        hi, lo = ColumnTotals(m, r), ColumnTotals(m, r)
         for _, slab in path_slabs(params, i0, r0, m, rng.substream(1000 + n_chunks), r):
             loglik = _slab_loglik(slab, beta, gamma, a)
-            for total, nprime in ((total_hi, n + h), (total_lo, n - h)):
-                for row in loglik(nprime):
-                    total += row
-        score = (total_hi - total_lo) / (2.0 * h)
+            hi.add(loglik(n + h))
+            lo.add(loglik(n - h))
+        score = (hi.total() - lo.total()) / (2.0 * h)
         scores.append(score)
         done += r
         n_chunks += 1

@@ -9,8 +9,7 @@ order (holding time first, then jump type) so ledgers are reproducible.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -25,16 +24,6 @@ from .core import (
     ValidationError,
     validate_params,
 )
-
-
-class Terminated:
-    """Sentinel returned by next_jump once i = 0 or i = n."""
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "Terminated"
-
-
-TERMINATED = Terminated()
 
 
 @dataclass(frozen=True)
@@ -57,104 +46,59 @@ class SimSpec:
             raise ValidationError("i0 + r0 exceeds the population")
 
 
-def jump_rate(state: DiffusionState, params: ModelParams) -> float:
-    return (params.beta * state.s / params.n) * state.i + params.p * state.s + params.gamma * state.i
-
-
-def infection_probability(state: DiffusionState, params: ModelParams) -> float:
-    num = state.s * (params.beta * state.i + params.p * params.n)
-    den = num + params.n * params.gamma * state.i
-    return num / den
-
-
-def next_jump(state: DiffusionState, params: ModelParams, gen: np.random.Generator):
-    """One transition: returns (T, kind) or TERMINATED.
-
-    Always consumes exactly two uniforms when a jump occurs, time first.
-    """
-    if state.i == 0 or state.i == params.n:
-        return TERMINATED
-    lam = jump_rate(state, params)
-    if lam <= 0:
-        raise ValidationError("degenerate rates: zero total jump rate in a live state")
-    u_time = gen.random()
-    u_kind = gen.random()
-    t = -math.log1p(-u_time) / lam
-    kind = JumpKind.INFECTION if u_kind < infection_probability(state, params) else JumpKind.RECOVERY
-    return t, kind
-
-
-def _apply(state: DiffusionState, kind: JumpKind) -> DiffusionState:
-    if kind is JumpKind.INFECTION:
-        return DiffusionState(s=state.s - 1, i=state.i + 1, r=state.r)
-    return DiffusionState(s=state.s, i=state.i - 1, r=state.r + 1)
-
-
 def simulate_ledger(spec: SimSpec) -> JumpLedger:
     """Ledger of exactly max_jumps entries.
 
-    Entries past the stopping index repeat the frozen state with an
-    infinite holding time, so observation sets always have full length.
+    From a live state (i neither 0 nor n) each jump draws its holding time
+    -log1p(-u)/lam, then its kind: an infection when the second uniform is
+    below s*(beta*i + p*n) / (s*(beta*i + p*n) + n*gamma*i).  The process
+    stops once i = 0 or i = n; entries past the stopping index repeat the
+    frozen state with an infinite holding time, so observation sets always
+    have full length.  The start is tested against n as given, each later
+    state against int(n), which is the ledger's population.
     """
     gen = spec.rng.generator()
     params = spec.params
-    n = int(params.n)
-    ledger = JumpLedger(n=n, i0=spec.i0, r0=spec.r0)
+    n, beta, gamma, p = params.n, params.beta, params.gamma, params.p
+    ledger = JumpLedger(n=int(n), i0=spec.i0, r0=spec.r0)
+    entries = ledger.entries
     state = ledger.initial_state
+    s, i, r = state.s, state.i, state.r
     t = 0.0
-    for k in range(1, spec.max_jumps + 1):
-        if ledger.terminated_at is None:
-            step = next_jump(state, params, gen)
-            if step is TERMINATED:
-                ledger.terminated_at = k - 1
-            else:
-                dt, kind = step
-                t += dt
-                state = _apply(state, kind)
-                ledger.entries.append(
-                    LedgerEntry(t=t, inter_arrival=dt, kind=kind, state_after=state)
-                )
-                if state.i == 0 or state.i == n:
-                    ledger.terminated_at = k
-                continue
-        ledger.entries.append(
-            LedgerEntry(t=t, inter_arrival=math.inf, kind=None, state_after=state)
-        )
+    k = 0
+    live = not (i == 0 or i == n)
+    while live and k < spec.max_jumps:
+        lam = (beta * s / n) * i + p * s + gamma * i
+        if lam <= 0:
+            raise ValidationError("degenerate rates: zero total jump rate in a live state")
+        u_time = gen.random()
+        u_kind = gen.random()
+        dt = -math.log1p(-u_time) / lam
+        num = s * (beta * i + p * n)
+        if u_kind < num / (num + n * gamma * i):
+            kind = JumpKind.INFECTION
+            s, i = s - 1, i + 1
+        else:
+            kind = JumpKind.RECOVERY
+            i, r = i - 1, r + 1
+        t += dt
+        k += 1
+        state = DiffusionState(s=s, i=i, r=r)
+        entries.append(LedgerEntry(t=t, inter_arrival=dt, kind=kind, state_after=state))
+        live = not (i == 0 or i == ledger.n)
+    if not live:
+        ledger.terminated_at = k
+        frozen = LedgerEntry(t=t, inter_arrival=math.inf, kind=None, state_after=state)
+        entries.extend([frozen] * (spec.max_jumps - k))
     return ledger
 
 
-def _worker(args) -> JumpLedger:
-    params_dict, i0, r0, max_jumps, seed, stream_id = args
-    spec = SimSpec(
-        params=ModelParams.from_json_dict(params_dict),
-        i0=i0,
-        r0=r0,
-        max_jumps=max_jumps,
-        rng=RngStream(seed=seed, stream_id=stream_id),
-    )
-    return simulate_ledger(spec)
-
-
-def simulate_batch(spec: SimSpec, replicates: int, parallelism: int = 1) -> list[JumpLedger]:
-    """Replicate r uses stream (seed, base_stream + r); output order is by
-    replicate index regardless of the worker pool size."""
+def simulate_batch(spec: SimSpec, replicates: int) -> list[JumpLedger]:
+    """Ledger r of ``replicates`` is simulated on ``spec.rng.substream(r)``,
+    the stream (seed, stream_id + r)."""
     if replicates < 1:
         raise ValidationError("replicates must be >= 1")
-    args = [
-        (
-            spec.params.to_json_dict(),
-            spec.i0,
-            spec.r0,
-            spec.max_jumps,
-            spec.rng.seed,
-            spec.rng.stream_id + r,
-        )
-        for r in range(replicates)
-    ]
-    if parallelism <= 1:
-        return [_worker(a) for a in args]
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(_worker, args))
+    return [simulate_ledger(replace(spec, rng=spec.rng.substream(r))) for r in range(replicates)]
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +220,9 @@ def path_slabs(
 
     Step k of every column computes the rate (beta*S/N)*I + p*S + gamma*I
     and the infection probability from the same float expressions as
-    ``jump_rate`` and ``infection_probability``; a column whose process has
-    stopped (i = 0 or i = n), or whose rate is not positive, keeps its
-    state and gets T = inf.  With gamma = 0 the counts are deterministic, so
+    ``simulate_ledger``; a column whose process has stopped (i = 0 or
+    i = n), or whose rate is not positive, keeps its state and gets
+    T = inf.  With gamma = 0 the counts are deterministic, so
     they are stepped once for all columns and only the holding times are
     drawn per column.  Once no column can jump, the frozen rows that remain
     are handed out without drawing.

@@ -1,6 +1,12 @@
 """Reference versions of replaced kernels, kept only to check the
 production code against:
 
+- ``reference_simulate_ledger``: ``difflim.simulate.simulate_ledger`` as a
+  loop over the one-jump step ``reference_next_jump``, which builds a
+  ``DiffusionState`` per jump and returns None once i = 0 or i = n.
+- ``reference_scan_peak_index``: the first k >= 2 with E[T_k] >= E[T_{k-1}],
+  found by scanning the expected holding times, which
+  ``difflim.estimate.bass_peak_indices`` used for p >= beta.
 - ``reference_simulate_paths``: the straightforward per-step loop that
   ``difflim.simulate.simulate_paths`` replaced.  Each step draws random(R)
   twice and rebuilds the state through np.where temporaries.
@@ -31,13 +37,92 @@ import math
 
 import numpy as np
 
-from difflim.core import ModelParams, Regime, RngStream, ValidationError, validate_params
+from difflim.core import (
+    DiffusionState,
+    JumpKind,
+    JumpLedger,
+    LedgerEntry,
+    ModelParams,
+    Regime,
+    RngStream,
+    ValidationError,
+    validate_params,
+)
 from difflim.discrete import CountSeries, FitResult, PeakForecast, _rollout, loglik
-from difflim.estimate import rate_band, recovery_band
+from difflim.estimate import bass_expected_jump_time, rate_band, recovery_band
 from difflim.experiments import StudyResult
 from difflim.fisher import _finish, compute_survival_threshold, highprob_rate_condition, sir_bracket
 from difflim.fluid import FluidTrajectory, default_t_max
 from difflim.simulate import PathBlock, simulate_paths
+
+
+def reference_jump_rate(state: DiffusionState, params: ModelParams) -> float:
+    return (params.beta * state.s / params.n) * state.i + params.p * state.s + params.gamma * state.i
+
+
+def reference_infection_probability(state: DiffusionState, params: ModelParams) -> float:
+    num = state.s * (params.beta * state.i + params.p * params.n)
+    den = num + params.n * params.gamma * state.i
+    return num / den
+
+
+def reference_next_jump(state: DiffusionState, params: ModelParams, gen: np.random.Generator):
+    """One transition: (T, kind), or None once i = 0 or i = n.  Consumes
+    exactly two uniforms when a jump occurs, time first."""
+    if state.i == 0 or state.i == params.n:
+        return None
+    lam = reference_jump_rate(state, params)
+    if lam <= 0:
+        raise ValidationError("degenerate rates: zero total jump rate in a live state")
+    u_time = gen.random()
+    u_kind = gen.random()
+    t = -math.log1p(-u_time) / lam
+    kind = JumpKind.INFECTION if u_kind < reference_infection_probability(state, params) else JumpKind.RECOVERY
+    return t, kind
+
+
+def reference_simulate_ledger(spec) -> JumpLedger:
+    gen = spec.rng.generator()
+    params = spec.params
+    n = int(params.n)
+    ledger = JumpLedger(n=n, i0=spec.i0, r0=spec.r0)
+    state = ledger.initial_state
+    t = 0.0
+    for k in range(1, spec.max_jumps + 1):
+        if ledger.terminated_at is None:
+            step = reference_next_jump(state, params, gen)
+            if step is None:
+                ledger.terminated_at = k - 1
+            else:
+                dt, kind = step
+                t += dt
+                if kind is JumpKind.INFECTION:
+                    state = DiffusionState(s=state.s - 1, i=state.i + 1, r=state.r)
+                else:
+                    state = DiffusionState(s=state.s, i=state.i - 1, r=state.r + 1)
+                ledger.entries.append(LedgerEntry(t=t, inter_arrival=dt, kind=kind, state_after=state))
+                if state.i == 0 or state.i == n:
+                    ledger.terminated_at = k
+                continue
+        ledger.entries.append(LedgerEntry(t=t, inter_arrival=math.inf, kind=None, state_after=state))
+    return ledger
+
+
+def reference_scan_peak_index(n: float, p: float, beta: float, chunk: int = 1_000_000) -> int:
+    """First k >= 2 with E[T_k] >= E[T_{k-1}], by chunked scan."""
+    start = 2
+    prev = bass_expected_jump_time(n, p, beta, 1)
+    while start < n:
+        stop = int(min(start + chunk, n))
+        i = np.arange(start, stop, dtype=float)
+        vals = n / ((p * n + beta * i) * (n - i))
+        allv = np.concatenate(([prev], vals))
+        hits = np.nonzero(np.diff(allv) >= 0)[0]
+        if hits.size:
+            return start + int(hits[0])
+        prev = vals[-1]
+        start = stop
+    raise ValidationError("no peak index found")
 
 
 def reference_simulate_paths(

@@ -107,6 +107,28 @@ def test_fisher_prints_summary(tmp_path, capsys):
     assert "J*N^4/m^3" in out
 
 
+def test_fisher_sir_zero_horizon_is_an_empty_report(tmp_path, capsys):
+    out = tmp_path / "fisher.json"
+    code = run([
+        "fisher", "--model", "sir", "--N", "1000", "--beta", "0.5", "--gamma", "0.25",
+        "--i0", "5", "-m", "0", "--replicates", "200", "--out", str(out),
+    ])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[0] == "J_total      0.0000000000e+00"
+    obj = json.loads(out.read_text())
+    assert obj["m"] == 0 and obj["per_k"] == [] and obj["survival"] == [] and obj["total"] == 0.0
+
+
+@pytest.mark.parametrize("model", ["sir", "bass"])
+def test_fisher_negative_horizon_is_a_validation_error(model, capsys):
+    code = run([
+        "fisher", "--model", model, "--N", "1000", "--beta", "0.5", "--gamma", "0.25",
+        "--i0", "5", "-m", "-1", "--replicates", "200",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "difflim: error[validation]: m must be non-negative\n"
+
+
 def test_fisher_report_json(tmp_path):
     out = tmp_path / "fisher.json"
     code = run([
@@ -162,6 +184,15 @@ def test_peak_grid_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "N,p,k_cr,k_star,time_ratio"
     assert len(lines) == 3
+
+
+def test_peak_with_fewer_than_one_unit_of_imitation_headroom(capsys):
+    """With (1 - p/beta) N < 1 the holding times increase from the first
+    jump on, so k_star is 2 and the time ratio has one term below it."""
+    assert run(["peak", "--N", "10", "--beta", "0.5", "--p", "0.45"]) == 0
+    [header, row] = capsys.readouterr().out.splitlines()
+    assert header == "N,p,k_cr,k_star,time_ratio"
+    assert row.startswith("10.0,0.45,5,2,")
 
 
 def test_peak_requires_exactly_one_innovation_spec(capsys):
@@ -266,15 +297,21 @@ def test_config_file_provides_flags(tmp_path):
     assert len(out2.read_text().splitlines()) == 6
 
 
-def test_threads_env_default(tmp_path, monkeypatch):
-    monkeypatch.setenv("DIFFLIM_THREADS", "2")
-    out = tmp_path / "x.csv"
-    code = run([
-        "simulate", "--model", "sir", "--N", "100", "--beta", "0.5", "--gamma", "0.25",
-        "--i0", "2", "--max-jumps", "5", "--replicates", "2", "--seed", "0",
-        "--out", str(out),
-    ])
-    assert code == 0
+def test_simulate_threads_flag_is_accepted_and_ignored(tmp_path):
+    """Replicates run serially: --threads 1, --threads 2 and no --threads
+    write the same batch file."""
+    written = []
+    for threads in (["--threads", "1"], ["--threads", "2"], []):
+        out = tmp_path / f"batch{len(written)}.csv"
+        code = run([
+            "simulate", "--model", "sir", "--N", "1000", "--beta", "0.5", "--gamma", "0.25",
+            "--i0", "5", "--max-jumps", "50", "--replicates", "8", "--seed", "1", *threads,
+            "--out", str(out),
+        ])
+        assert code == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1] == written[2]
+    assert len(written[0].splitlines()) == 1 + 8 * 50
 
 
 def test_help_lists_flags(capsys):
@@ -325,6 +362,21 @@ def test_commands_without_fits_or_ode_never_import_scipy(tmp_path):
     for name, code, scipy_mods in _dispatch_in_fresh_interpreter(argvs, tmp_path):
         assert code == 0, name
         assert scipy_mods == [], name
+
+
+def test_cli_and_experiments_load_no_process_pool(tmp_path):
+    """Replicates are simulated serially, so importing the CLI or the
+    studies loads neither multiprocessing nor the process-pool executor."""
+    script = (
+        "import json, sys\n"
+        "import difflim.cli, difflim.experiments\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "    if m.split('.')[0] == 'multiprocessing' or m == 'concurrent.futures.process')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=_env(), capture_output=True, text=True, check=True,
+    )
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def _scipy_modules_after(code, cwd):

@@ -118,13 +118,14 @@ def test_observation_set_truncation_prefix():
     params = ModelParams(n=50, beta=0.5, gamma=0.25, regime=Regime.SIR)
     spec = SimSpec(params=params, i0=3, r0=0, max_jumps=30, rng=RngStream(seed=5))
     ledger = simulate_ledger(spec)
-    full = ObservationSet.from_ledger(ledger, 30)
-    short = ObservationSet.from_ledger(ledger, 12)
-    assert full.truncate(12) == short
-    assert short.truncate(12) == short  # idempotent
-    assert full.truncate(12).truncate(5) == full.truncate(5)
+    full = ObservationSet.from_ledger(ledger)
+    assert full.m == 30
+    for m in (0, 5, 12, 30):
+        short = ObservationSet.from_ledger(ledger, m)
+        assert short.m == m and short.samples == full.samples[:m]
+        assert (short.i0, short.r0) == (full.i0, full.r0)
     with pytest.raises(ValidationError):
-        short.truncate(13)
+        ObservationSet.from_ledger(ledger, 31)
 
 
 def test_rng_stream_reproducible_and_independent():

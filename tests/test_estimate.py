@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from difflim.estimate import (
     _sum_expected_times,
 )
 from difflim.simulate import SimSpec, simulate_ledger, simulate_paths
+
+from reference_kernels import reference_scan_peak_index
 
 
 def _obs(i0, r0, samples):
@@ -223,23 +226,55 @@ def test_expected_jump_time_dip_location():
     assert np.all(np.diff(vals[arg - 1 :]) > 0)
 
 
+def _expected_time_exact(n, p, beta, k):
+    """E[T_k] of the float inputs in exact rational arithmetic."""
+    n, p, beta = Fraction(n), Fraction(p), Fraction(beta)
+    return n / ((p * n + beta * k) * (n - k))
+
+
 def test_peak_indices_closed_form_and_scan():
-    k_cr, k_star = bass_peak_indices(100, 0.25, 0.5, verify=True)
-    assert k_star == math.ceil((0.5 * 100 + 1) / 2) == 26
+    """k_star = max(2, ceil(((1 - p/beta) n + 1)/2)) is the definitional
+    scan's first k >= 2 with E[T_k] >= E[T_{k-1}], on a grid that includes
+    p >= beta and (1 - p/beta) n < 1.  Both are float evaluations, so at a
+    tie (1 - p/beta) n + 1 = 2k, where E[T_k] = E[T_{k-1}] but for the
+    rounding of p, they can round differently: at the grid's three tie
+    points the scan says k and the closed form k + 1, and the exact
+    rational comparison of the float inputs sides with the closed form."""
+    assert bass_peak_indices(100, 0.25, 0.5) == (22, 26)
     assert bass_peak_indices(1e6, 1e-3, 0.5)[0] == 10_000
     rng = np.random.default_rng(0)
-    for _ in range(50):
-        n = float(rng.integers(50, 100_000))
-        ratio = float(rng.uniform(0.001, 0.9))
-        bass_peak_indices(n, ratio * 0.5, 0.5, verify=True)  # raises on mismatch
+    grid = [(50.0, 0.94), (100.0, 0.95), (1000.0, 0.997)]  # ties: (1 - p/beta) n + 1 = 2k
+    for n in [3.0, 4.0, 5.0, 10.0, 20.5, 50.0, 101.0, 1000.0, 12_345.0, 1e5]:
+        edges = [1 - 0.5 / n, 1 - 0.99 / n, 1 - 1.5 / n, 1 - 2 / n, 1.0, 1.5, 1e3, 1 / n]
+        grid += [(n, ratio) for ratio in [*edges, *rng.uniform(0.0, 1.0, 12)]]
+    ties = 0
+    for n, ratio in grid:
+        beta = 0.5
+        p = ratio * beta
+        k_star = bass_peak_indices(n, p, beta)[1]
+        scan = reference_scan_peak_index(n, p, beta)
+        if ratio >= 1 or (1 - p / beta) * n < 1:
+            assert k_star == scan == 2, (n, ratio)
+        if k_star != scan:
+            ties += 1
+            lo = min(k_star, scan)
+            assert abs(k_star - scan) == 1, (n, ratio)
+            t_lo, t_prev = bass_expected_jump_time(n, p, beta, lo), bass_expected_jump_time(n, p, beta, lo - 1)
+            assert abs(t_lo - t_prev) <= 4e-16 * t_lo, (n, ratio)
+            exact = _expected_time_exact(n, p, beta, lo) >= _expected_time_exact(n, p, beta, lo - 1)
+            assert k_star == (lo if exact else lo + 1), (n, ratio)
+    assert ties == 3
 
 
-def test_peak_index_scan_fallback_when_p_exceeds_beta():
-    k_cr, k_star = bass_peak_indices(1000, 0.9, 0.5)
-    # definitional scan result: first k with nonincreasing expected time
-    vals = [bass_expected_jump_time(1000, 0.9, 0.5, i) for i in range(1, 999)]
-    scan = next(k for k in range(2, 999) if vals[k - 1] >= vals[k - 2])
-    assert k_star == scan
+def test_peak_index_is_two_when_p_reaches_beta():
+    """For p >= beta the holding times increase from the first jump, so
+    k_star is 2 at every n, including n past the scan's old 5e7 limit."""
+    for n in [3.0, 10.0, 1000.0, 4e7]:
+        for ratio in [1.0, 1.5, 1e3]:
+            assert bass_peak_indices(n, ratio * 0.5, 0.5)[1] == 2
+            assert reference_scan_peak_index(n, ratio * 0.5, 0.5) == 2
+    assert bass_peak_indices(1e10, 0.9, 0.5) == (math.ceil(1e10 ** (2 / 3)), 2)
+    assert bass_peak_indices(1000, 0.1, 0.0)[1] == 2
 
 
 def test_sum_proxy_matches_exact():

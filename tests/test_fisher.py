@@ -173,10 +173,15 @@ def test_score_oracle_h_robustness():
         # Chunks of 1025, 1025 and 499 replicates: odd R on both sides of
         # the R at which gamma = 0 skips the unread jump-type uniforms.
         (ModelParams(n=1000, beta=0.5, gamma=0.0, p=0.001, regime=Regime.BASS), 2, 0, 60, 2549, 1025),
+        # Chunks of 1025, 1025 and 1: a one-column chunk's rows are summed
+        # pairwise, as sum(axis=0) sums a single column.
+        (ModelParams(n=1000, beta=0.5, gamma=0.0, p=0.001, regime=Regime.BASS), 2, 0, 60, 2051, 1025),
+        (ModelParams(n=500, beta=0.5, gamma=0.25, regime=Regime.SIR), 10, 0, 40, 1201, 300),
     ],
     # gamma = 0 reads only the holding-time uniforms: "bass" (R = 3000) skips
     # the others, "bass-chunked" (R = 1000 and 500) draws them in blocks.
-    ids=["bass", "bass-chunked", "sir", "sir-extinction", "general", "bass-odd-R"],
+    ids=["bass", "bass-chunked", "sir", "sir-extinction", "general", "bass-odd-R",
+         "bass-one-column-chunk", "sir-one-column-chunk"],
 )
 def test_score_oracle_matches_reference_bit_for_bit(params, i0, r0, m, reps, chunk):
     """The hoisted, in-place oracle returns the very (j, se) of the
@@ -297,6 +302,21 @@ def test_survival_probability_at_threshold_start():
     block = simulate_paths(params, i0=i0, r0=0, m=m, rng=RngStream(seed=2), replicates=reps)
     survival = float(np.mean(block.alive[m]))
     assert survival >= 0.5 - 3 * math.sqrt(0.25 / reps)
+
+
+def test_sir_information_at_zero_and_negative_horizons():
+    """m = 0 is the empty report in both recovery-regime routes, as it is
+    for fisher_bass; m < 0 is refused."""
+    mc = fisher_sir_mc(SIR_SMALL, i0=5, r0=0, m=0, replicates=200, rng=RngStream(seed=0))
+    exact = fisher_sir_exact(SIR_SMALL, i0=5, r0=0, m=0)
+    for rep in (mc, exact):
+        assert rep.m == 0 and rep.per_k.size == 0 and rep.survival.size == 0
+        assert rep.total == 0.0 and rep.cr_floor == math.inf
+    assert mc.mc_stderr == 0.0 and mc.work["path_steps"] == 0
+    with pytest.raises(ValidationError, match="non-negative"):
+        fisher_sir_mc(SIR_SMALL, i0=5, r0=0, m=-1, replicates=200, rng=RngStream(seed=0))
+    with pytest.raises(ValidationError, match="non-negative"):
+        fisher_sir_exact(SIR_SMALL, i0=5, r0=0, m=-1)
 
 
 def test_fisher_sir_mc_rejects_bad_inputs():

@@ -12,57 +12,82 @@ from difflim.core import (
     RngStream,
     ValidationError,
     reconstruct_state,
-    write_batch_csv,
 )
 from difflim import simulate
 from difflim.simulate import (
-    TERMINATED,
     ColumnTotals,
     SimSpec,
-    infection_probability,
-    jump_rate,
-    next_jump,
     path_slabs,
     simulate_batch,
     simulate_ledger,
     simulate_paths,
 )
 
-from reference_kernels import reference_simulate_paths
+from reference_kernels import (
+    reference_infection_probability,
+    reference_next_jump,
+    reference_simulate_ledger,
+    reference_simulate_paths,
+)
 
 BASS = ModelParams(n=1000, beta=0.5, gamma=0.0, p=0.001, regime=Regime.BASS)
 SIR = ModelParams(n=100, beta=0.5, gamma=0.25, regime=Regime.SIR)
 
 
 def test_next_jump_terminates_at_zero_infected():
+    """The reference step stops at i = 0; the ledger stops there too and
+    repeats the extinct state."""
     state = DiffusionState(s=90, i=0, r=10)
-    assert next_jump(state, SIR, RngStream(seed=0).generator()) is TERMINATED
+    assert reference_next_jump(state, SIR, RngStream(seed=0).generator()) is None
+    params = ModelParams(n=100, beta=0.1, gamma=2.0, regime=Regime.SIR)
+    ledger = simulate_ledger(SimSpec(params=params, i0=2, max_jumps=30, rng=RngStream(seed=0)))
+    stop = ledger.terminated_at
+    assert stop is not None and 2 <= stop < 30
+    assert ledger.state_at(stop).i == 0
+    assert all(e.kind is None and math.isinf(e.inter_arrival) for e in ledger.entries[stop:])
 
 
 def test_next_jump_terminates_at_full_infection():
+    """At i = n the reference step stops, and a ledger started there is
+    frozen from its first entry."""
     state = DiffusionState(s=0, i=100, r=0)
-    assert next_jump(state, SIR, RngStream(seed=0).generator()) is TERMINATED
+    assert reference_next_jump(state, SIR, RngStream(seed=0).generator()) is None
+    ledger = simulate_ledger(SimSpec(params=SIR, i0=100, max_jumps=3, rng=RngStream(seed=0)))
+    assert ledger.terminated_at == 0
+    assert [e.state_after for e in ledger.entries] == [state] * 3
+    assert all(e.kind is None and e.t == 0.0 for e in ledger.entries)
 
 
 def test_next_jump_degenerate_rates():
     params = ModelParams(n=100, beta=0.0, gamma=0.0, p=0.0)
     with pytest.raises(ValidationError, match="degenerate"):
-        next_jump(DiffusionState(s=90, i=10, r=0), params, RngStream(seed=0).generator())
+        reference_next_jump(DiffusionState(s=90, i=10, r=0), params, RngStream(seed=0).generator())
 
 
 def test_bass_jumps_are_always_infections():
-    gen = RngStream(seed=3).generator()
-    state = DiffusionState(s=995, i=5, r=0)
-    for _ in range(200):
-        t, kind = next_jump(state, BASS, gen)
-        assert kind is JumpKind.INFECTION
-        assert t > 0
+    ledger = simulate_ledger(SimSpec(params=BASS, i0=5, max_jumps=200, rng=RngStream(seed=3)))
+    assert ledger.terminated_at is None
+    for entry in ledger.entries:
+        assert entry.kind is JumpKind.INFECTION
+        assert entry.inter_arrival > 0
 
 
 def test_infection_probability_closed_form():
-    # S=90, I=10, N=100, beta=0.5, gamma=0.25: 450/700
+    """S=90, I=10, N=100, beta=0.5, gamma=0.25: the jump rate is 7 and the
+    infection probability 450/700.  So from the stream's first two
+    uniforms, the ledger's first holding time is -log1p(-u_time)/7, and
+    the jump is an infection exactly when u_kind < 450/700."""
     state = DiffusionState(s=90, i=10, r=0)
-    assert infection_probability(state, SIR) == pytest.approx(450.0 / 700.0)
+    assert reference_infection_probability(state, SIR) == 450.0 / 700.0
+    kinds = set()
+    for seed in range(40):
+        rng = RngStream(seed=seed)
+        u_time, u_kind = rng.generator().random(2)
+        first = simulate_ledger(SimSpec(params=SIR, i0=10, max_jumps=1, rng=rng)).entries[0]
+        assert first.inter_arrival == -math.log1p(-u_time) / 7.0
+        assert first.kind is (JumpKind.INFECTION if u_kind < 450.0 / 700.0 else JumpKind.RECOVERY)
+        kinds.add(first.kind)
+    assert kinds == {JumpKind.INFECTION, JumpKind.RECOVERY}
 
 
 def test_jump_type_frequency_matches_probability():
@@ -83,7 +108,7 @@ def test_holding_time_moments():
     1/lambda and 1/lambda^2 within 3 sigma at 1e5 draws."""
     params = ModelParams(n=100, beta=0.5, gamma=0.25, regime=Regime.SIR)
     i0, r0 = 10, 0
-    lam = jump_rate(DiffusionState(s=90, i=10, r=0), params)
+    lam = 7.0  # (0.5 * 90 / 100) * 10 + 0.25 * 10
     reps = 100_000
     block = simulate_paths(params, i0=i0, r0=r0, m=1, rng=RngStream(seed=23), replicates=reps)
     t1 = block.T[0]
@@ -150,21 +175,15 @@ def test_conservation_every_state():
 
 
 def test_simulate_batch_matches_single():
-    spec = SimSpec(params=SIR, i0=4, r0=0, max_jumps=20, rng=RngStream(seed=31))
-    single = simulate_ledger(spec)
-    batch = simulate_batch(spec, replicates=1)
-    assert len(batch) == 1
-    assert [e.state_after for e in batch[0].entries] == [e.state_after for e in single.entries]
-
-
-def test_simulate_batch_parallelism_bytes_identical(tmp_path):
-    spec = SimSpec(params=SIR, i0=4, r0=0, max_jumps=15, rng=RngStream(seed=77))
-    serial = simulate_batch(spec, replicates=6, parallelism=1)
-    parallel = simulate_batch(spec, replicates=6, parallelism=3)
-    p1, p2 = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    write_batch_csv(serial, p1)
-    write_batch_csv(parallel, p2)
-    assert p1.read_bytes() == p2.read_bytes()
+    """Replicate r of a batch is the ledger of stream (seed, stream_id + r)."""
+    spec = SimSpec(params=SIR, i0=4, r0=0, max_jumps=20, rng=RngStream(seed=31, stream_id=5))
+    batch = simulate_batch(spec, replicates=4)
+    assert len(batch) == 4
+    for r, ledger in enumerate(batch):
+        rng = RngStream(seed=31, stream_id=5 + r)
+        assert ledger == simulate_ledger(SimSpec(params=SIR, i0=4, r0=0, max_jumps=20, rng=rng))
+    with pytest.raises(ValidationError):
+        simulate_batch(spec, replicates=0)
 
 
 def test_spec_rejects_degenerate_start():
@@ -385,6 +404,52 @@ def test_parity_cases_reach_their_edge():
         with pytest.raises(ValidationError, match="overflow"):
             simulate_paths(params, i0, r0, m, RngStream(seed=7, stream_id=3), reps)
     assert 2 * PARITY_CASES["R-beyond-block-sir"][4] > simulate._BLOCK_DOUBLES
+
+
+# (params, i0, r0, max_jumps) for the ledger loop against its reference.
+LEDGER_CASES = {
+    "sir": (ModelParams(n=100, beta=0.5, gamma=0.25, regime=Regime.SIR), 4, 0, 80),
+    "bass-p": (ModelParams(n=1000, beta=0.5, gamma=0.0, p=0.001, regime=Regime.BASS), 1, 0, 150),
+    "general": (ModelParams(n=80, beta=0.7, gamma=0.3, p=0.01), 3, 2, 120),
+    "extinction": (ModelParams(n=50, beta=0.01, gamma=50.0), 1, 0, 10),
+    "reaches-n-sir": (ModelParams(n=15, beta=5.0, gamma=0.05), 2, 0, 60),
+    "reaches-n-bass": (ModelParams(n=12, beta=0.5, gamma=0.0, p=0.1, regime=Regime.BASS), 1, 0, 30),
+    "i0-equals-n": (ModelParams(n=10, beta=0.5, gamma=0.2), 10, 0, 5),
+    "non-integer-n": (ModelParams(n=50.5, beta=0.9, gamma=0.1), 2, 1, 80),
+    # i0 = int(n) is not n, so the start is live; later states are tested
+    # against int(n).
+    "non-integer-n-i0-int-n": (ModelParams(n=20.5, beta=0.5, gamma=0.3), 20, 0, 30),
+    "int-rates": (ModelParams(n=30, beta=2, gamma=1), 3, 1, 40),
+    "max-jumps-1": (ModelParams(n=100, beta=0.5, gamma=0.25, regime=Regime.SIR), 4, 0, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEDGER_CASES))
+def test_simulate_ledger_matches_reference(case):
+    """The inlined ledger loop gives the ledger of the per-jump reference
+    loop, entry for entry, on every stream."""
+    params, i0, r0, m = LEDGER_CASES[case]
+    for stream in range(20):
+        spec = SimSpec(params=params, i0=i0, r0=r0, max_jumps=m, rng=RngStream(seed=11, stream_id=stream))
+        assert simulate_ledger(spec) == reference_simulate_ledger(spec)
+
+
+@pytest.mark.parametrize(
+    "params, i0, r0",
+    [
+        (ModelParams(n=10, beta=0.0, gamma=0.0, p=0.0), 3, 0),
+        # Three infections use up S with gamma = 0: the rate is then zero.
+        (ModelParams(n=10, beta=0.5, gamma=0.0, p=0.0), 3, 4),
+        # i0 = int(n) < n is live at the start, with S = 0 and gamma = 0.
+        (ModelParams(n=20.5, beta=0.5, gamma=0.0, p=0.1), 20, 0),
+    ],
+    ids=["all-zero", "s-used-up", "non-integer-n-s-zero"],
+)
+def test_simulate_ledger_zero_rate_raises(params, i0, r0):
+    spec = SimSpec(params=params, i0=i0, r0=r0, max_jumps=12, rng=RngStream(seed=1))
+    for simulate_one in (simulate_ledger, reference_simulate_ledger):
+        with pytest.raises(ValidationError, match="degenerate"):
+            simulate_one(spec)
 
 
 @pytest.mark.parametrize(
