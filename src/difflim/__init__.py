@@ -4,18 +4,6 @@ closed-form estimators, discrete-time MLE fitting, and seeded scaling studies.
 
 __version__ = "0.1.0"
 
-from .core import (
-    DiffusionState,
-    JumpKind,
-    JumpLedger,
-    ModelParams,
-    ObservationSet,
-    Regime,
-    RngStream,
-    reconstruct_state,
-    validate_params,
-)
-
 __all__ = [
     "DiffusionState",
     "JumpKind",
@@ -28,3 +16,12 @@ __all__ = [
     "validate_params",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # The core re-exports load on first use: `import difflim` loads no numpy.
+    if name in __all__:
+        from . import core
+
+        return getattr(core, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,31 +21,8 @@ import sys
 import time
 from pathlib import Path
 
+# Each command imports what it runs: --version, --help and usage errors load no numpy.
 from . import __version__
-from .core import (
-    DataCorruptionError,
-    ModelParams,
-    ObservationSet,
-    Regime,
-    RngStream,
-    ValidationError,
-    read_ledger_csv,
-    write_batch_csv,
-    write_ledger_csv,
-    write_params_json,
-)
-from .discrete import OptimizerConfig, fit_mle, peaked_set, read_counts_csv
-from .estimate import (
-    bass_peak_indices,
-    bass_time_ratio,
-    estimate_bass,
-    estimate_sir,
-    sir_confidence_intervals,
-)
-from .experiments import StudyConfig, run_study
-from .fisher import cramer_rao_rel_error, fisher_bass, fisher_sir_mc
-from .fluid import integrate, peak_bounds, peak_times
-from .simulate import SimSpec, simulate_batch
 
 log = logging.getLogger("difflim")
 
@@ -73,6 +50,8 @@ def _add_model_flags(p: argparse.ArgumentParser, need_n: bool = True):
 
 
 def _params_from_args(args) -> ModelParams:
+    from .core import ModelParams, Regime, validate_params
+
     regime = Regime.BASS if args.model == "bass" else Regime.SIR
     params = ModelParams(
         n=args.N,
@@ -81,15 +60,16 @@ def _params_from_args(args) -> ModelParams:
         p=args.p if regime is Regime.BASS else 0.0,
         regime=regime,
     )
-    from .core import validate_params
-
     return validate_params(params, strict_supercritical=getattr(args, "strict", False))
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="difflim", description=__doc__)
     parser.add_argument("--version", action="version", version=f"difflim {__version__}")
-    parser.add_argument("--log-level", default="WARNING", help="logging level (DEBUG/INFO/WARNING)")
+    parser.add_argument(
+        "--log-level", type=str.upper, choices=["DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"],
+        default="WARNING", metavar="LOG_LEVEL", help="logging level (DEBUG/INFO/WARNING)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("simulate", help="simulate jump ledgers to CSV")
@@ -205,6 +185,9 @@ def _emit_json(obj: dict, out_path) -> None:
 
 
 def cmd_simulate(args) -> int:
+    from .core import RngStream, write_batch_csv, write_ledger_csv, write_params_json
+    from .simulate import SimSpec, simulate_batch
+
     params = _params_from_args(args)
     spec = SimSpec(
         params=params,
@@ -229,6 +212,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fluid(args) -> int:
+    from .fluid import integrate, peak_bounds, peak_times
+
     params = _params_from_args(args)
     t0 = time.perf_counter()
     traj = integrate(
@@ -241,7 +226,7 @@ def cmd_fluid(args) -> int:
     )
     markers = peak_times(traj)
     side = dict(markers)
-    if params.regime is Regime.SIR and params.beta > params.gamma > 0 and params.n >= 16:
+    if args.model == "sir" and params.beta > params.gamma > 0 and params.n >= 16:
         b = peak_bounds(params, c0=args.i0 + args.r0, i0=args.i0)
         side.update(
             {"t_cr_lower": b.t_cr_lower, "t_star_upper": b.t_star_upper, "nu1": b.nu1, "nu2": b.nu2}
@@ -259,6 +244,9 @@ def cmd_fluid(args) -> int:
 
 
 def cmd_fisher(args) -> int:
+    from .core import RngStream
+    from .fisher import cramer_rao_rel_error, fisher_bass, fisher_sir_mc
+
     t0 = time.perf_counter()
     params = _params_from_args(args)
     if args.model == "bass":
@@ -280,6 +268,9 @@ def cmd_fisher(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    from .core import ObservationSet, read_ledger_csv
+    from .estimate import estimate_bass, estimate_sir, sir_confidence_intervals
+
     t0 = time.perf_counter()
     ledger = read_ledger_csv(args.input)
     obs = ObservationSet.from_ledger(ledger, args.max_jumps)
@@ -298,11 +289,16 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_peak(args) -> int:
+    from .core import ValidationError
+    from .estimate import bass_peak_indices, bass_time_ratio
+
     t0 = time.perf_counter()
     if (args.p is None) == (args.alpha is None):
         raise ValidationError("specify exactly one of --p or --alpha")
     rows = []
     for n in args.N:
+        if not 1 < n < math.inf:
+            raise ValidationError(f"--N must be a finite number above 1, got {n}")
         p = args.p if args.p is not None else args.beta / n ** args.alpha
         k_cr, k_star = bass_peak_indices(n, p, args.beta)
         rows.append((n, p, k_cr, k_star, bass_time_ratio(n, p, args.beta)))
@@ -318,6 +314,9 @@ def cmd_peak(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from .core import DataCorruptionError, ValidationError
+    from .discrete import OptimizerConfig, fit_mle, read_counts_csv
+
     t0 = time.perf_counter()
     collection = read_counts_csv(args.input)
     if not collection:
@@ -345,6 +344,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_peaks(args) -> int:
+    from .discrete import peaked_set, read_counts_csv
+
     t0 = time.perf_counter()
     collection = read_counts_csv(args.input)
     ids = sorted(peaked_set(collection, args.gamma1, args.t))
@@ -355,25 +356,16 @@ def cmd_peaks(args) -> int:
 
 
 def cmd_study(args) -> int:
+    from dataclasses import replace
+
+    from .experiments import StudyConfig, run_study
+
     config = StudyConfig.from_json(args.config)
-    if args.seed is not None:
-        config = StudyConfig(
-            study=config.study,
-            grid=config.grid,
-            replicates=config.replicates,
-            seed=args.seed,
-            output_path=config.output_path,
-        )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     base = out_dir / config.study.lower()
-    config = StudyConfig(
-        study=config.study,
-        grid=config.grid,
-        replicates=config.replicates,
-        seed=config.seed,
-        output_path=str(base),
-    )
+    seed = config.seed if args.seed is None else args.seed
+    config = replace(config, seed=seed, output_path=str(base))
     t0 = time.perf_counter()
     result = run_study(config)
     _write_meta(base, args, {"wall_time_s": time.perf_counter() - t0})
@@ -406,6 +398,8 @@ def _inject_config(argv: list[str]) -> list[str]:
         return argv
     with open(argv[idx + 1]) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{argv[idx + 1]}: expected a JSON object of flag values, got {type(cfg).__name__}")
     injected: list[str] = []
     for key, value in cfg.items():
         flag = "--" + str(key).replace("_", "-")
@@ -429,11 +423,13 @@ def dispatch(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"difflim: error[validation]: bad config file: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    logging.basicConfig(level=getattr(logging, args.log_level.upper(), logging.WARNING))
+    logging.basicConfig(level=args.log_level)
     log.info("resolved config: %s", {k: v for k, v in vars(args).items()})
+    from .core import DataCorruptionError, ValidationError
+
     try:
         return COMMANDS[args.command](args)
     except ValidationError as exc:

@@ -376,8 +376,10 @@ def bass_peak_indices(n: float, p: float, beta: float) -> tuple[int, int]:
     holding time stops decreasing.  E[T_k] >= E[T_{k-1}] exactly when
     k >= ((1 - p/beta) n + 1)/2, so k_star = max(2, ceil(((1 - p/beta) n + 1)/2)).
     That is 2 whenever p >= beta, which is tested first so that beta = 0
-    is never divided by.
+    is never divided by.  Requires a finite n > 1, p >= 0 and a finite beta.
     """
+    if not (1 < n < math.inf and p >= 0 and math.isfinite(beta)):
+        raise ValidationError(f"peak indices need a finite n > 1, p >= 0 and a finite beta (n={n}, p={p}, beta={beta})")
     k_cr = math.ceil(n ** (2.0 / 3.0))
     k_star = 2 if p >= beta else max(2, math.ceil(((1.0 - p / beta) * n + 1.0) / 2.0))
     return k_cr, k_star

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -50,11 +51,25 @@ class StudyConfig:
 
     @staticmethod
     def from_json(path) -> "StudyConfig":
+        """The config in a JSON file: an object with a string ``study``, an
+        object ``grid`` and optional integer ``replicates`` and ``seed``."""
         with open(path) as fh:
-            obj = json.load(fh)
+            try:
+                obj = json.load(fh)
+            except ValueError as exc:
+                raise ValidationError(f"{path}: not a JSON study config: {exc}") from None
+        if not isinstance(obj, dict):
+            raise ValidationError(f"{path}: a study config is a JSON object, got {type(obj).__name__}")
+        if not isinstance(obj.get("study"), str):
+            raise ValidationError(f"{path}: 'study' must be a study name string")
+        if not isinstance(obj.get("grid"), dict):
+            raise ValidationError(f"{path}: 'grid' must be a JSON object")
+        for key in ("replicates", "seed"):
+            if key in obj and not _is_integer(obj[key]):
+                raise ValidationError(f"{path}: {key!r} must be an integer, got {obj[key]!r}")
         return StudyConfig(
             study=obj["study"],
-            grid=obj.get("grid", {}),
+            grid=obj["grid"],
             replicates=obj.get("replicates", 1),
             seed=obj.get("seed", 0),
             output_path=obj.get("output_path"),
@@ -123,6 +138,51 @@ STUDY_SCHEMAS = {
 }
 
 
+def _is_integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _population(x) -> bool:
+    return _is_number(x) and x > 0
+
+
+def _horizon(x) -> bool:
+    return _is_integer(x) and x >= 1
+
+
+def _list_of(check):
+    return lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(check(x) for x in v)
+
+
+def _point(pt) -> bool:
+    return isinstance(pt, dict) and _population(pt.get("n")) and _horizon(pt.get("m"))
+
+
+# What each grid key holds, whichever study requires it.
+GRID_VALUES = {
+    "n": ("a positive finite number", _population),
+    "m": ("an integer >= 1", _horizon),
+    "ns": ("a non-empty list of positive finite numbers", _list_of(_population)),
+    "ms": ("a non-empty list of integers >= 1", _list_of(_horizon)),
+    "alphas": ("a non-empty list of finite numbers", _list_of(_is_number)),
+    "points": ("a non-empty list of objects with a positive finite n and an integer m >= 1", _list_of(_point)),
+}
+
+# The grid keys each study requires.
+STUDY_GRID_KEYS = {
+    "FisherScaling": ("ns",),
+    "TimeRatio": ("alphas", "ns"),
+    "Coverage": ("n", "m"),
+    "Dominance": ("points",),
+    "FluidSandwich": ("ns",),
+    "RelErrorScaling": ("n", "ms"),
+}
+
+
 def run_study(config: StudyConfig) -> StudyResult:
     dispatch = {
         "FisherScaling": fisher_scaling_study,
@@ -134,6 +194,12 @@ def run_study(config: StudyConfig) -> StudyResult:
     }
     if config.study not in dispatch:
         raise ValidationError(f"unknown study {config.study!r}")
+    for key in STUDY_GRID_KEYS[config.study]:
+        what, valid = GRID_VALUES[key]
+        if key not in config.grid:
+            raise ValidationError(f"{config.study} grid needs {key!r}: {what}")
+        if not valid(config.grid[key]):
+            raise ValidationError(f"{config.study} grid {key!r} must be {what}, got {config.grid[key]!r}")
     result = dispatch[config.study](config)
     result.metadata.update({"seed": config.seed, "version": __version__})
     if config.output_path:

@@ -69,12 +69,16 @@ def integrate(
 ) -> FluidTrajectory:
     """Adaptive Dormand-Prince 8(5,3) integration of the mean-field system.
 
-    Preconditions: s0 + i0 + r0 = n (to float tolerance), t_max and tol
-    positive and finite.  The returned grid is uniform with ``samples`` points; the
+    Preconditions: i0, r0 >= 0 and s0 + i0 + r0 = n (to float tolerance),
+    t_max and tol positive and finite.  The returned grid is uniform with ``samples`` points; the
     dense interpolant is kept for marker refinement.
     """
     validate_params(params)
     n = params.n
+    if i0 < 0 or r0 < 0:
+        raise ValidationError("i0 and r0 must be >= 0")
+    if i0 + r0 > n:
+        raise ValidationError("i0 + r0 exceeds the population")
     if abs(s0 + i0 + r0 - n) > 1e-9 * n:
         raise ValidationError("s0 + i0 + r0 must equal n")
     if t_max is None:
@@ -244,9 +248,9 @@ def peak_bounds(
         C = (rho1 - rho2) / ((rho2/rho1)(beta rho1 - gamma)
              - (beta rho2 / 2) c0 / (n (1 - rho1))).
 
-    Hypotheses: beta > gamma > 0, n >= 16 (so log log n > 1), rho1 > rho2,
-    and a positive denominator in C; violations raise with the failed
-    hypothesis named.
+    Hypotheses: beta > gamma > 0, n >= 16 (so log log n > 1), 0 < c0 <
+    n^(2/3), i0 > 0, rho1 > rho2, and a positive denominator in C;
+    violations raise with the failed hypothesis named.
     """
     beta, gamma = params.beta, params.gamma
     if n is None:
@@ -257,6 +261,8 @@ def peak_bounds(
         raise ValidationError("hypothesis failed: requires n >= 16 so log log n > 1")
     if c0 <= 0 or i0 <= 0:
         raise ValidationError("hypothesis failed: c0 and i0 must be positive")
+    if not c0 < n ** (2.0 / 3.0):
+        raise ValidationError("hypothesis failed: requires c0 < n^(2/3)")
 
     nu1 = ((beta - gamma) / beta) ** 1.5
     nu2 = 2.0 * (beta - gamma) / beta

@@ -200,6 +200,66 @@ def test_peak_requires_exactly_one_innovation_spec(capsys):
     assert run(["peak", "--N", "100", "--beta", "0.5", "--p", "0.1", "--alpha", "1.0"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (["--N", "10000", "1000000", "100000000", "--beta", "0.5", "--alpha", "1.0"],
+         ["10000.0,5e-05,465,5000,0.65636841",
+          "1000000.0,5e-07,10000,500000,0.65689805",
+          "100000000.0,5e-09,215444,50000000,0.65893929"]),
+        (["--N", "10", "100", "12345.5", "1e6", "--beta", "0.5", "--p", "0.01"],
+         ["10.0,0.01,5,6,0.85869999",
+          "100.0,0.01,22,50,0.66847654",
+          "12345.5,0.01,535,6050,0.30543862",
+          "1000000.0,0.01,10000,490001,0.10620471"]),
+        (["--N", "1.5", "3", "--beta", "0.7", "--p", "0.2"],
+         ["1.5,0.2,2,2,1.00000000", "3.0,0.2,3,2,2.30000000"]),
+    ],
+    ids=["readme-alpha-grid", "p-grid", "smallest-populations"],
+)
+def test_peak_grid_output_is_exact(capsys, argv, lines):
+    assert run(["peak", *argv]) == 0
+    assert capsys.readouterr().out.splitlines() == ["N,p,k_cr,k_star,time_ratio", *lines]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["peak", "--N", "-5", "--p", "0.1"], "--N must be a finite number above 1, got -5.0"),
+        (["peak", "--N", "0", "--alpha", "1"], "--N must be a finite number above 1, got 0.0"),
+        (["peak", "--N", "inf", "--alpha", "1"], "--N must be a finite number above 1, got inf"),
+        (["peak", "--N", "1", "--p", "0.1"], "--N must be a finite number above 1, got 1.0"),
+        (["peak", "--N", "100", "--beta", "nan", "--alpha", "1"], "a finite beta"),
+        (["peak", "--N", "1e4", "--p", "-0.1"], "p >= 0"),
+        (["fluid", "--model", "bass", "--N", "100", "--i0", "5", "--r0", "200", "--p", "0.01",
+          "--out", "traj.csv"], "i0 + r0 exceeds the population"),
+        (["fluid", "--model", "sir", "--N", "100", "--i0", "5", "--r0", "-1", "--gamma", "0.1",
+          "--out", "traj.csv"], "i0 and r0 must be >= 0"),
+        (["fluid", "--model", "sir", "--N", "100", "--i0", "100", "--gamma", "0.1", "--out", "traj.csv"],
+         "hypothesis failed: requires c0 < n^(2/3)"),
+        (["--log-level", "NOPE", "peak", "--N", "100", "--p", "0.1"], "invalid choice: 'NOPE'"),
+    ],
+    ids=[
+        "peak-negative-N", "peak-zero-N", "peak-infinite-N", "peak-unit-N", "peak-nan-beta",
+        "peak-negative-p", "fluid-more-initial-than-N", "fluid-negative-r0", "fluid-sir-c0-past-n23",
+        "unknown-log-level",
+    ],
+)
+def test_bad_peak_fluid_and_log_level_values_are_validation_errors(tmp_path, monkeypatch, capsys, argv, needle):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "difflim: error[validation]: " in captured.err and needle in captured.err
+    assert not (tmp_path / "traj.csv").exists()
+
+
+def test_log_level_is_case_insensitive(capsys):
+    assert run(["--log-level", "info", "peak", "--N", "100", "--p", "0.1"]) == 0
+    assert capsys.readouterr().out.startswith("N,p,k_cr,k_star,time_ratio")
+
+
 def _counts_csv(path):
     from difflim.core import ModelParams, Regime, RngStream
     from difflim.discrete import simulate_discrete, write_counts_csv
@@ -278,6 +338,42 @@ def test_study_subcommand(tmp_path):
     assert (out_dir / "timeratio.csv").exists()
     assert (out_dir / "timeratio.json").exists()
     assert (out_dir / "timeratio.meta.json").exists()
+
+
+_TIME_RATIO = {"alphas": [1.0], "ns": [1e4]}
+_REL_ERROR = {"n": 1e4, "ms": [100]}
+
+
+@pytest.mark.parametrize(
+    "command, config, needle",
+    [
+        ("simulate", [1, 2], "bad config file: "),
+        ("study", [1, 2], "a study config is a JSON object, got list"),
+        ("study", {"grid": _TIME_RATIO}, "'study' must be a study name string"),
+        ("study", {"study": "TimeRatio", "grid": [1e4]}, "'grid' must be a JSON object"),
+        ("study", {"study": "TimeRatio", "grid": {"ns": [1e4, 1e6]}}, "TimeRatio grid needs 'alphas'"),
+        ("study", {"study": "RelErrorScaling", "grid": _REL_ERROR, "replicates": "x"},
+         "'replicates' must be an integer, got 'x'"),
+        ("study", {"study": "RelErrorScaling", "grid": _REL_ERROR, "replicates": 2.5},
+         "'replicates' must be an integer, got 2.5"),
+        ("study", {"study": "TimeRatio", "grid": _TIME_RATIO, "seed": True}, "'seed' must be an integer, got True"),
+        ("study", {"study": "FluidSandwich", "grid": {"ns": ["x"]}}, "FluidSandwich grid 'ns' must be"),
+        ("study", {"study": "TimeRatio", "grid": {"alphas": [1.0], "ns": [0]}}, "TimeRatio grid 'ns' must be"),
+        ("study", {"study": "Dominance", "grid": {"points": [{"n": 1e4}]}}, "Dominance grid 'points' must be"),
+        ("study", "{'study': 'TimeRatio'}", "config.json: not a JSON study config"),
+    ],
+    ids=[
+        "simulate-list", "study-list", "study-no-study", "study-list-grid", "time-ratio-no-alphas",
+        "replicates-string", "replicates-float", "seed-bool", "ns-string", "ns-zero", "point-without-m",
+        "study-not-json",
+    ],
+)
+def test_config_of_the_wrong_shape_is_a_validation_error(tmp_path, capsys, command, config, needle):
+    path = tmp_path / "config.json"
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
+    assert run([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("difflim: error[validation]: ") and needle in err
 
 
 def test_config_file_provides_flags(tmp_path):
@@ -364,19 +460,74 @@ def test_commands_without_fits_or_ode_never_import_scipy(tmp_path):
         assert scipy_mods == [], name
 
 
-def test_cli_and_experiments_load_no_process_pool(tmp_path):
-    """Replicates are simulated serially, so importing the CLI or the
-    studies loads neither multiprocessing nor the process-pool executor."""
+_SIM = ["difflim.core", "difflim.simulate"]
+_FISHER = [*_SIM, "difflim.fisher"]
+_ESTIMATE = [*_FISHER, "difflim.estimate"]
+_FLUID = ["difflim.core", "difflim._dop853", "difflim.fluid"]
+_DISCRETE = ["difflim.core", "difflim.discrete"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, modules",
+    [
+        (["--version"], 0, []),
+        (["--help"], 0, []),
+        (["simulate", "--model", "bass"], 1, []),
+        (["simulate", "--model", "sir", "--N", "1000", "--beta", "0.5", "--gamma", "0.25", "--i0", "10",
+          "--max-jumps", "50", "--replicates", "2", "--out", "batch.csv"], 0, _SIM),
+        (["fluid", "--model", "sir", "--N", "10000", "--beta", "0.5", "--gamma", "0.25", "--i0", "1",
+          "--out", "traj.csv"], 0, _FLUID),
+        (["fisher", "--model", "bass", "--N", "10000", "--i0", "1", "-m", "464"], 0, _FISHER),
+        (["estimate", "--model", "sir", "--input", "ledger.csv", "--out", "est.json"], 0, _ESTIMATE),
+        (["peak", "--N", "10000", "--beta", "0.5", "--alpha", "1.0"], 0, _ESTIMATE),
+        (["fit", "--input", "counts.csv", "--gamma", "0.25", "--n-max", "1000000", "--fix-a"], 0, _DISCRETE),
+        (["peaks", "--input", "counts.csv", "--gamma1", "0.5", "--t", "60"], 0, _DISCRETE),
+        (["study", "--config", "timeratio.json", "--out", "results"], 0,
+         [*_ESTIMATE, "difflim._dop853", "difflim.fluid", "difflim.experiments"]),
+    ],
+    ids=["version", "help", "usage-error", "simulate", "fluid", "fisher", "estimate", "peak", "fit", "peaks",
+         "study"],
+)
+def test_each_command_imports_only_what_it_runs(tmp_path, argv, code, modules):
+    """Run through the `difflim` entry point in a new interpreter, each
+    command leaves exactly the difflim modules it runs in sys.modules, and
+    numpy only together with them: --version, --help and a usage error load
+    no numpy.  Replicates are simulated serially, so no command loads
+    multiprocessing or the process-pool executor."""
+    _ledger_csv(tmp_path / "ledger.csv")
+    _counts_csv(tmp_path / "counts.csv")
+    (tmp_path / "timeratio.json").write_text(json.dumps({"study": "TimeRatio", "grid": _TIME_RATIO}))
     script = (
         "import json, sys\n"
-        "import difflim.cli, difflim.experiments\n"
-        "print(json.dumps(sorted(m for m in sys.modules\n"
-        "    if m.split('.')[0] == 'multiprocessing' or m == 'concurrent.futures.process')))\n"
+        "from difflim.cli import main\n"
+        "try:\n"
+        "    main()\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] in\n"
+        "    ('difflim', 'numpy', 'multiprocessing') or m == 'concurrent.futures.process')]))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, env=_env(), capture_output=True, text=True, check=True,
+        [sys.executable, "-c", script, *argv], cwd=tmp_path, env=_env(), capture_output=True, text=True, timeout=60,
     )
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    got_code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert got_code == code, proc.stderr
+    assert [m for m in loaded if m.startswith("difflim")] == sorted(["difflim", "difflim.cli", *modules])
+    assert ("numpy" in loaded) == bool(modules)
+    assert not [m for m in loaded if m.split(".")[0] == "multiprocessing" or m == "concurrent.futures.process"]
+
+
+def test_package_names_load_on_first_use():
+    """`from difflim import <name>` works for every name in __all__, each is
+    the core object, and any other attribute is an AttributeError."""
+    from difflim import core
+
+    for name in difflim.__all__:
+        namespace = {}
+        exec(f"from difflim import {name}", namespace)
+        assert namespace[name] is getattr(difflim if name == "__version__" else core, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        difflim.no_such_name
 
 
 def _scipy_modules_after(code, cwd):

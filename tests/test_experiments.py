@@ -6,6 +6,7 @@ import pytest
 from difflim import experiments
 from difflim.core import ValidationError
 from difflim.experiments import (
+    STUDY_GRID_KEYS,
     STUDY_SCHEMAS,
     StudyConfig,
     default_sir_i0,
@@ -26,6 +27,27 @@ def test_config_validation():
         StudyConfig(study="FisherScaling", grid={"ns": [100]}, replicates=0)
     with pytest.raises(ValidationError):
         run_study(StudyConfig(study="NoSuchStudy", grid={"x": 1}))
+
+
+def test_every_study_declares_its_required_grid_keys():
+    assert set(STUDY_GRID_KEYS) == set(STUDY_SCHEMAS)
+
+
+@pytest.mark.parametrize(
+    "study, grid, key",
+    [
+        ("FisherScaling", {"regime": "bass"}, "ns"),
+        ("Coverage", {"n": 1e5, "m": 300.0}, "m"),
+        ("Coverage", {"n": float("nan"), "m": 300}, "n"),
+        ("RelErrorScaling", {"n": 1e4, "ms": []}, "ms"),
+        ("RelErrorScaling", {"n": 1e4, "ms": [100, True]}, "ms"),
+        ("TimeRatio", {"alphas": [float("inf")], "ns": [1e4]}, "alphas"),
+        ("Dominance", {"points": [{"n": -1, "m": 10}]}, "points"),
+    ],
+)
+def test_run_study_names_the_grid_key_it_refuses(study, grid, key):
+    with pytest.raises(ValidationError, match=f"{study} grid .*'{key}'"):
+        run_study(StudyConfig(study, grid))
 
 
 def test_fisher_scaling_rejects_overlapping_streams(monkeypatch):
