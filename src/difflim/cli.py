@@ -358,9 +358,10 @@ def cmd_peaks(args) -> int:
 def cmd_study(args) -> int:
     from dataclasses import replace
 
-    from .experiments import StudyConfig, run_study
+    from .experiments import StudyConfig, run_study, validate_study
 
     config = StudyConfig.from_json(args.config)
+    validate_study(config)  # before --out is made, so a refused config leaves nothing
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     base = out_dir / config.study.lower()

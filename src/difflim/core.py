@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
@@ -31,6 +32,11 @@ class JumpKind(str, Enum):
 
 class ValidationError(ValueError):
     """Raised when inputs violate a documented precondition."""
+
+
+def is_integer(x) -> bool:
+    """An int or a numpy integer, but not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 class DataCorruptionError(ValueError):

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .core import ModelParams, Regime, RngStream, ValidationError
+from .core import ModelParams, Regime, RngStream, ValidationError, is_integer
 from .estimate import bass_time_ratio, bass_peak_indices, rate_band, recovery_band
 from .fisher import (
     MC_CHUNK,
@@ -53,11 +53,13 @@ class StudyConfig:
     def from_json(path) -> "StudyConfig":
         """The config in a JSON file: an object with a string ``study``, an
         object ``grid`` and optional integer ``replicates`` and ``seed``."""
-        with open(path) as fh:
-            try:
+        try:
+            with open(path) as fh:
                 obj = json.load(fh)
-            except ValueError as exc:
-                raise ValidationError(f"{path}: not a JSON study config: {exc}") from None
+        except OSError as exc:
+            raise ValidationError(f"bad config file: {exc}") from None
+        except ValueError as exc:
+            raise ValidationError(f"{path}: not a JSON study config: {exc}") from None
         if not isinstance(obj, dict):
             raise ValidationError(f"{path}: a study config is a JSON object, got {type(obj).__name__}")
         if not isinstance(obj.get("study"), str):
@@ -65,7 +67,7 @@ class StudyConfig:
         if not isinstance(obj.get("grid"), dict):
             raise ValidationError(f"{path}: 'grid' must be a JSON object")
         for key in ("replicates", "seed"):
-            if key in obj and not _is_integer(obj[key]):
+            if key in obj and not is_integer(obj[key]):
                 raise ValidationError(f"{path}: {key!r} must be an integer, got {obj[key]!r}")
         return StudyConfig(
             study=obj["study"],
@@ -138,10 +140,6 @@ STUDY_SCHEMAS = {
 }
 
 
-def _is_integer(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
 def _is_number(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
@@ -151,7 +149,11 @@ def _population(x) -> bool:
 
 
 def _horizon(x) -> bool:
-    return _is_integer(x) and x >= 1
+    return is_integer(x) and x >= 1
+
+
+def _rate(x) -> bool:
+    return _is_number(x) and x >= 0
 
 
 def _list_of(check):
@@ -170,6 +172,10 @@ GRID_VALUES = {
     "ms": ("a non-empty list of integers >= 1", _list_of(_horizon)),
     "alphas": ("a non-empty list of finite numbers", _list_of(_is_number)),
     "points": ("a non-empty list of objects with a positive finite n and an integer m >= 1", _list_of(_point)),
+    "i0": ("an integer >= 1", _horizon),
+    "r0": ("an integer >= 0", lambda x: is_integer(x) and x >= 0),
+    "beta": ("a finite number >= 0", _rate),
+    "gamma": ("a finite number >= 0", _rate),
 }
 
 # The grid keys each study requires.
@@ -182,6 +188,38 @@ STUDY_GRID_KEYS = {
     "RelErrorScaling": ("n", "ms"),
 }
 
+# The optional keys each study reads, checked where present: in the grid,
+# or for Dominance in each point.
+STUDY_OPTIONAL_KEYS = {
+    "FisherScaling": ("beta", "gamma", "i0", "r0"),
+    "TimeRatio": ("beta",),
+    "Coverage": ("beta", "gamma", "i0", "r0"),
+    "Dominance": ("beta", "gamma", "i0", "r0"),
+    "FluidSandwich": ("beta", "gamma"),
+    "RelErrorScaling": ("beta", "i0"),
+}
+
+
+def validate_study(config: StudyConfig) -> None:
+    """Refuse an unknown study, a missing required grid key, and a required
+    or optional key whose value is not what the study reads."""
+    if config.study not in STUDY_GRID_KEYS:
+        raise ValidationError(f"unknown study {config.study!r}")
+    for key in STUDY_GRID_KEYS[config.study]:
+        what, valid = GRID_VALUES[key]
+        if key not in config.grid:
+            raise ValidationError(f"{config.study} grid needs {key!r}: {what}")
+        if not valid(config.grid[key]):
+            raise ValidationError(f"{config.study} grid {key!r} must be {what}, got {config.grid[key]!r}")
+    places = [(f"{config.study} grid", config.grid)]
+    if config.study == "Dominance":
+        places = [(f"Dominance point {j}", pt) for j, pt in enumerate(config.grid["points"])]
+    for place, values in places:
+        for key in STUDY_OPTIONAL_KEYS[config.study]:
+            what, valid = GRID_VALUES[key]
+            if key in values and not valid(values[key]):
+                raise ValidationError(f"{place} {key!r} must be {what}, got {values[key]!r}")
+
 
 def run_study(config: StudyConfig) -> StudyResult:
     dispatch = {
@@ -192,14 +230,7 @@ def run_study(config: StudyConfig) -> StudyResult:
         "FluidSandwich": fluid_sandwich_study,
         "RelErrorScaling": rel_error_study,
     }
-    if config.study not in dispatch:
-        raise ValidationError(f"unknown study {config.study!r}")
-    for key in STUDY_GRID_KEYS[config.study]:
-        what, valid = GRID_VALUES[key]
-        if key not in config.grid:
-            raise ValidationError(f"{config.study} grid needs {key!r}: {what}")
-        if not valid(config.grid[key]):
-            raise ValidationError(f"{config.study} grid {key!r} must be {what}, got {config.grid[key]!r}")
+    validate_study(config)
     result = dispatch[config.study](config)
     result.metadata.update({"seed": config.seed, "version": __version__})
     if config.output_path:

@@ -22,6 +22,7 @@ from .core import (
     ModelParams,
     RngStream,
     ValidationError,
+    is_integer,
     validate_params,
 )
 
@@ -38,12 +39,17 @@ class SimSpec:
         validate_params(self.params)
         if self.max_jumps < 1:
             raise ValidationError("max_jumps must be >= 1")
-        if self.i0 < 1:
-            raise ValidationError("i0 must be >= 1 (the process starts with an infected unit)")
-        if self.r0 < 0:
-            raise ValidationError("r0 must be >= 0")
+        _check_start(self.i0, self.r0)
         if self.i0 + self.r0 > self.params.n:
             raise ValidationError("i0 + r0 exceeds the population")
+
+
+def _check_start(i0, r0) -> None:
+    """The start counts both simulators take: integers (numpy's too)."""
+    if not is_integer(i0) or i0 < 1:
+        raise ValidationError("i0 must be an integer >= 1 (the process starts with an infected unit)")
+    if not is_integer(r0) or r0 < 0:
+        raise ValidationError("r0 must be an integer >= 0")
 
 
 def simulate_ledger(spec: SimSpec) -> JumpLedger:
@@ -124,6 +130,11 @@ _BLOCK_DOUBLES = 1 << 16
 # draws: 1.11-1.12 at R = 512, 1.00-1.01 at 768, 0.88-0.96 at 1024 and
 # 0.81-0.89 at 2048, for SIR counts and gamma = 0 holding times alike.
 _SKIP_MIN_R = 1024
+
+# The SIR kernel tabulates a span of steps over a window of counts at least
+# as wide as the span, so a table grows with the span's square; narrow
+# blocks (many steps, few columns) are tabulated this many steps at a time.
+_SPAN = 32
 
 
 @dataclass
@@ -218,14 +229,21 @@ def path_slabs(
     consumer reads each one without writing to it and reduces or copies it
     before asking for the next.
 
-    Step k of every column computes the rate (beta*S/N)*I + p*S + gamma*I
-    and the infection probability from the same float expressions as
-    ``simulate_ledger``; a column whose process has stopped (i = 0 or
-    i = n), or whose rate is not positive, keeps its state and gets
-    T = inf.  With gamma = 0 the counts are deterministic, so
-    they are stepped once for all columns and only the holding times are
-    drawn per column.  Once no column can jump, the frozen rows that remain
-    are handed out without drawing.
+    Step k of every column takes the rate (beta*S/N)*I + p*S + gamma*I
+    and the infection probability from the same float expressions, in the
+    same order, as ``simulate_ledger``; a column whose process has stopped
+    (i = 0 or i = n), or whose rate is not positive, keeps its state and
+    gets T = inf.  With gamma > 0 a live column's S and I follow from its
+    count C and k, so those expressions are evaluated once per span of
+    steps into a table over (step, count), and each step looks its columns'
+    probabilities up by C: no draw and no bit of the output changes.  With
+    gamma = 0 the counts are deterministic, so they are stepped once for
+    all columns and only the holding times are drawn per column.  Once no
+    column can jump, the frozen rows that remain are handed out without
+    drawing.
+
+    i0 >= 1 and r0 >= 0 are integers (numpy's too), as are m >= 0 and
+    ``replicates`` >= 1; anything else is a ValidationError.
 
     With ``times=False`` every slab has T = None and the holding times are
     neither computed nor their uniforms drawn; C, alive and infected are
@@ -233,8 +251,11 @@ def path_slabs(
     """
     # Not a generator itself, so that bad arguments raise at the call.
     validate_params(params)
-    if i0 < 1:
-        raise ValidationError("i0 must be >= 1")
+    _check_start(i0, r0)
+    if not is_integer(m) or m < 0:
+        raise ValidationError("m must be an integer >= 0")
+    if not is_integer(replicates) or replicates < 1:
+        raise ValidationError("replicates must be an integer >= 1")
     return _slabs(params, float(params.n), i0, r0, m, rng, replicates, times)
 
 
@@ -387,32 +408,28 @@ def _pure_adoption_slabs(params, n, i0, r0, m, gen, buf):
 
 
 def _lockstep_slabs(params, n, i0, r0, m, gen, buf):
-    """gamma > 0: every column stepped in place, one block of K steps at a
-    time.  Rates, holding-time numerators and per-step flags of a block are
-    kept in (K, R) buffers, so T and the infected counts are written once
-    per block.  Without T only the jump-type uniforms are drawn, and the
-    rates are computed only at steps where one may not be positive.  Stops
-    drawing once no column is live.  Returns the number of steps
-    simulated."""
+    """gamma > 0: each column is stepped through its count C alone.  Until
+    it stops, a column has after k jumps S = n - C (the float S of C - c0
+    unit decrements from n - c0, c0 = i0 + r0) and I = 2C - k - i0 - 2 r0,
+    so per span of steps the infection probability of each (step, count)
+    in the live columns' window is tabulated once, from the expressions of
+    ``simulate_ledger``, NaN where no jump is taken (I <= 0, I >= n or a
+    rate <= 0); a step is a lookup, a compare and an add.  While
+    i0 + r0 + m < n only extinction stops a column, and I <= 0 marks it at
+    every later step; otherwise stops (I = n, or a rate <= 0 once S < 0,
+    which freezes a live column) are marked per step.  Stops drawing once
+    no column is live.  Returns the number of steps simulated."""
     beta, gamma, p = params.beta, params.gamma, params.p
     T, C, alive, infected = buf.T, buf.C, buf.alive, buf.infected
     K, R = C.shape[0] - 1, C.shape[1]
-    times = T is not None
+    times, track = T is not None, i0 + r0 + m >= n
     blocks = _uniform_blocks(gen, m, R, K, read=(0, 1) if times else (1,))
-    pn, ngamma = p * n, n * gamma
-    s = np.full(R, n - i0 - r0, dtype=float)
-    tmp, num = np.empty(R), np.empty(R)
-    down, flag = np.empty(R, dtype=bool), np.empty(R, dtype=bool)
-    e, lam = np.empty((K, R)), np.empty((K, R))
-    stay, ups = np.empty((K, R), dtype=bool), np.empty((K, R), dtype=bool)
-    i = np.empty((K + 1, R))  # i[j]: infected before step k0 + j + 1
-    i[0] = float(i0)
-    # Before step k every count is at most i0 + r0 + k - 1, so s >= 0 for
-    # k <= s_last.  There a live column (i >= 1, gamma*i > 0) has a positive
-    # rate and may jump.  Later (non-integer n, or i0 + r0 > n) a live
-    # column's rate can be <= 0, which freezes it, so the rate is tested.
-    s_last = n - i0 - r0 + 1
-    steps = 0
+    pn, ngamma, c0, base, span = p * n, n * gamma, i0 + r0, i0 + 2 * r0, min(K, _SPAN)
+    s_of = np.subtract.accumulate(np.r_[n - i0 - r0, np.ones(m)])  # S at count c0 + u
+    prob, up, flag = np.empty(R), np.empty(R, dtype=bool), np.empty(R, dtype=bool)
+    e, at = np.empty((K, R)), np.empty((span, R), dtype=np.int64)
+    ok = np.repeat(alive[:1], K + 1, axis=0)  # ok[j + 1]: step k0 + j + 1 taken (tracked)
+    taken, tables, steps = np.zeros(R, dtype=np.int64), np.empty((4, 0)), 0  # jumps before the block
     for k0, u in blocks:
         kb = len(u)
         if not alive[0].any():
@@ -420,59 +437,62 @@ def _lockstep_slabs(params, n, i0, r0, m, gen, buf):
         # The errstate is entered and left within the block, never across
         # a yield, so the consumer's code does not run under it.
         with np.errstate(divide="ignore", invalid="ignore"):
-            if times:
-                _exp_holding_numerators(u[:, 0], e[:kb])
-            for j in range(kb):
-                k = k0 + j + 1
-                lj, ok, up, now = lam[j], stay[j], ups[j], alive[j + 1]
-                if times or k > s_last:
-                    # lam = (beta*s/n)*i + p*s + gamma*i, term by term.  With
-                    # p = 0 the p*s and p*n terms are +-0.0, and adding them
-                    # changes no bit, so they are left out.
-                    np.multiply(s, beta, out=lj)
-                    lj /= n
-                    lj *= i[j]
+            for t0 in range(0, kb, span):
+                rows, live = min(span, kb - t0), C[t0][alive[0]]
+                lo, hi = int(live.min()), int(live.max()) + rows
+                # Columns 1..w-2 are the counts lo..hi; the counts outside
+                # are clipped onto columns 0 and w-1, which hold NaN.
+                w = hi - lo + 3
+                if tables.shape[1] < rows * w:
+                    tables = np.empty((4, 2 * rows * w))
+                i, tmp, P, lam = (t[: rows * w].reshape(rows, w) for t in tables)
+                i, tmp, Pc, Lc = i[:, 1:-1], tmp[:, 1:-1], P[:, 1:-1], lam[:, 1:-1]
+                s = s_of[lo - c0 : hi - c0 + 1]
+                np.subtract(2.0 * np.arange(lo, hi + 1) - (k0 + t0 + base), np.arange(rows)[:, None], out=i)
+                stop = (i <= 0) | (i >= n)
+                if times or track:
+                    # lam = (beta*s/n)*i + p*s + gamma*i, term by term; with
+                    # p = 0 the +-0.0 terms p*s and p*n change no bit and are left out.
+                    np.multiply(i, s * beta / n, out=Lc)
                     if p:
-                        np.multiply(s, p, out=tmp)
-                        lj += tmp
-                    np.multiply(i[j], gamma, out=tmp)
-                    lj += tmp
-                if k > s_last:
-                    np.greater(lj, 0.0, out=ok)
-                    ok &= alive[j]
-                else:
-                    ok[:] = alive[j]
+                        Lc += s * p
+                    Lc += np.multiply(i, gamma, out=tmp)
+                    stop |= Lc <= 0
                 # p_inf = num / (num + (n*gamma)*i), num = s*(beta*i + p*n).
-                np.multiply(i[j], beta, out=tmp)
+                np.multiply(i, beta, out=tmp)
                 if p:
                     tmp += pn
-                np.multiply(s, tmp, out=num)
-                np.multiply(i[j], ngamma, out=tmp)
-                tmp += num
-                np.divide(num, tmp, out=num)
-                np.less(u[j, 1], num, out=up)
-                up &= ok
-                np.not_equal(ok, up, out=down)
-                s -= up
-                np.add(i[j], up, out=i[j + 1])
-                i[j + 1] -= down
-                # After k jumps i0 - k <= i <= i0 + k, so a bound that cannot
-                # be reached yet is not tested.
-                now[:] = alive[j]
-                if k >= i0:
-                    np.greater(i[j + 1], 0.0, out=flag)
-                    now &= flag
-                if i0 + k >= n:
-                    np.less(i[j + 1], n, out=flag)
-                    now &= flag
+                np.multiply(tmp, s, out=Pc)
+                Pc /= np.add(np.multiply(i, ngamma, out=tmp), Pc, out=tmp)
+                np.copyto(Pc, np.nan, where=stop)
+                np.copyto(Lc, np.nan, where=stop)
+                P[:, :: w - 1] = lam[:, :: w - 1] = np.nan
+                x = C[t0 : t0 + rows + 1]  # counts less lo - 1 during the span
+                x[0] -= lo - 1
+                for j in range(rows):
+                    P[j].take(x[j], out=prob, mode="clip")
+                    np.less(u[t0 + j, 1], prob, out=up)
+                    if track:
+                        np.greater(ok[t0 + j], np.isnan(prob, out=flag), out=ok[t0 + j + 1])
+                        up &= ok[t0 + j + 1]
+                    np.add(x[j], up, out=x[j + 1])
+                if times:
+                    np.clip(x[:rows], 0, w - 1, out=at[:rows])
+                    at[:rows] += np.arange(0, rows * w, w)[:, None]
+                    lam.take(at[:rows], out=T[t0 : t0 + rows], mode="clip")
+                x += lo - 1
+            # I = 2C - (jumps taken) - i0 - 2 r0; the steps taken are a prefix.
+            took = ok[1 : kb + 1].sum(axis=0) if track else kb
+            I = np.multiply(C[1 : kb + 1], 2, out=infected[1 : kb + 1])
+            I -= np.minimum(np.arange(1, kb + 1)[:, None], took) + (taken + base)
+            taken += took
+            ok[0] = ok[kb]
+            np.greater(I, 0, out=alive[1 : kb + 1])
+            alive[1 : kb + 1] &= I < n
+            I *= alive[1 : kb + 1]
             if times:
-                np.divide(e[:kb], lam[:kb], out=T[:kb])
-                np.logical_not(stay[:kb], out=stay[:kb])
-                np.copyto(T[:kb], np.inf, where=stay[:kb])
-        np.cumsum(ups[:kb], axis=0, out=C[1 : kb + 1])
-        C[1 : kb + 1] += C[0]
-        np.multiply(i[1 : kb + 1], alive[1 : kb + 1], out=infected[1 : kb + 1], casting="unsafe")
-        i[0] = i[kb]
+                np.divide(_exp_holding_numerators(u[:, 0], e[:kb]), T[:kb], out=T[:kb])
+                np.copyto(T[:kb], np.inf, where=~(ok[1 : kb + 1] if track else alive[:kb]))
         steps = k0 + kb
         yield k0, _head(buf, kb)
         _carry(buf, kb)

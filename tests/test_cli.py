@@ -361,19 +361,40 @@ _REL_ERROR = {"n": 1e4, "ms": [100]}
         ("study", {"study": "TimeRatio", "grid": {"alphas": [1.0], "ns": [0]}}, "TimeRatio grid 'ns' must be"),
         ("study", {"study": "Dominance", "grid": {"points": [{"n": 1e4}]}}, "Dominance grid 'points' must be"),
         ("study", "{'study': 'TimeRatio'}", "config.json: not a JSON study config"),
+        ("study", {"study": "Dominance", "grid": {"points": [{"n": 1e4, "m": 100, "beta": "x"}]}},
+         "Dominance point 0 'beta' must be a finite number >= 0, got 'x'"),
+        ("study", {"study": "Dominance", "grid": {"points": [{"n": 1e4, "m": 100, "r0": -5}]}},
+         "Dominance point 0 'r0' must be an integer >= 0, got -5"),
+        ("study", {"study": "Coverage", "grid": {"n": 1e5, "m": 300, "r0": -5}, "replicates": 200},
+         "Coverage grid 'r0' must be an integer >= 0, got -5"),
+        ("study", {"study": "Dominance", "grid": {"points": [{"n": 1e4, "m": 100, "i0": 2.5}]}},
+         "Dominance point 0 'i0' must be an integer >= 1, got 2.5"),
+        ("study", {"study": "FisherScaling", "grid": {"regime": "sir", "ns": [1e3], "i0": 2.5}, "replicates": 200},
+         "FisherScaling grid 'i0' must be an integer >= 1, got 2.5"),
     ],
     ids=[
         "simulate-list", "study-list", "study-no-study", "study-list-grid", "time-ratio-no-alphas",
         "replicates-string", "replicates-float", "seed-bool", "ns-string", "ns-zero", "point-without-m",
-        "study-not-json",
+        "study-not-json", "point-beta-string", "point-r0-negative", "coverage-r0-negative",
+        "point-i0-float", "fisher-scaling-i0-float",
     ],
 )
 def test_config_of_the_wrong_shape_is_a_validation_error(tmp_path, capsys, command, config, needle):
+    """The config is refused before --out is made."""
     path = tmp_path / "config.json"
     path.write_text(config if isinstance(config, str) else json.dumps(config))
     assert run([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("difflim: error[validation]: ") and needle in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_study_without_its_config_file_is_a_validation_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["study", "--config", str(tmp_path / "missing.json"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("difflim: error[validation]: bad config file: ") and "missing.json" in err
+    assert not out.exists()
 
 
 def test_config_file_provides_flags(tmp_path):

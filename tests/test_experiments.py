@@ -7,6 +7,7 @@ from difflim import experiments
 from difflim.core import ValidationError
 from difflim.experiments import (
     STUDY_GRID_KEYS,
+    STUDY_OPTIONAL_KEYS,
     STUDY_SCHEMAS,
     StudyConfig,
     default_sir_i0,
@@ -30,7 +31,7 @@ def test_config_validation():
 
 
 def test_every_study_declares_its_required_grid_keys():
-    assert set(STUDY_GRID_KEYS) == set(STUDY_SCHEMAS)
+    assert set(STUDY_GRID_KEYS) == set(STUDY_SCHEMAS) == set(STUDY_OPTIONAL_KEYS)
 
 
 @pytest.mark.parametrize(

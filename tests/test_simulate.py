@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from difflim.core import (
     DiffusionState,
@@ -302,6 +305,12 @@ PARITY_CASES = {
     # With non-integer n an infection at S = 0.5 leaves S = -0.5, and a
     # live column's rate (beta*S/n + gamma)*I is then negative: it freezes.
     "negative-s-stall": (ModelParams(n=2.5, beta=10.0, gamma=0.1), 1, 1, 10, 50),
+    # From i0 = 1 about half the columns die within a few jumps while the
+    # others climb hundreds of counts, so the dead sit far below the window
+    # of counts that the live columns are tabulated over.
+    "wide-window": (ModelParams(n=1e4, beta=0.5, gamma=0.25), 1, 0, 600, 300),
+    # Wide enough that a counts-only run skips the holding-time uniforms.
+    "skip-R-sir": (ModelParams(n=1e4, beta=0.5, gamma=0.25), 5, 2, 120, simulate._SKIP_MIN_R + 3),
 }
 
 # S*(beta*I) would overflow to inf for I >= 2, making p_inf = inf/inf NaN
@@ -404,6 +413,89 @@ def test_parity_cases_reach_their_edge():
         with pytest.raises(ValidationError, match="overflow"):
             simulate_paths(params, i0, r0, m, RngStream(seed=7, stream_id=3), reps)
     assert 2 * PARITY_CASES["R-beyond-block-sir"][4] > simulate._BLOCK_DOUBLES
+    wide = block("wide-window")
+    live = wide.alive[-1]
+    assert np.sum(~live & (wide.C[-1] < 10)) > 50 and wide.C[-1][live].min() > 200
+    assert PARITY_CASES["skip-R-sir"][4] >= simulate._SKIP_MIN_R
+
+
+@pytest.mark.parametrize("case", ["extinction", "fills-population-sir", "negative-s-stall", "wide-window"])
+def test_kernel_warns_nothing(case):
+    """The SIR kernel's tables divide 0/0 where I = 0; no numpy
+    RuntimeWarning escapes it, with holding times or without."""
+    params, i0, r0, m, reps = PARITY_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for times in (True, False):
+            for _ in path_slabs(params, i0, r0, m, RngStream(seed=7, stream_id=3), reps, times=times):
+                pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    frac=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0, exclude_max=True),
+    beta=st.floats(0.0, 5.0),
+    gamma=st.floats(0.01, 3.0),
+    p=st.just(0.0) | st.floats(0.0, 0.3),
+    i0=st.integers(1, 42),
+    r0=st.integers(0, 3),
+    m=st.integers(0, 60),
+    reps=st.sampled_from([1, 2, 5, 33]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_path_slabs_match_reference_on_random_models(n, frac, beta, gamma, p, i0, r0, m, reps, seed):
+    """On small models, integer n or not, both kinds of slab are the
+    reference loop's block bit for bit."""
+    params = ModelParams(n=n + frac, beta=beta, gamma=gamma, p=p)
+    rng = RngStream(seed=seed, stream_id=5)
+    want = reference_simulate_paths(params, i0, r0, m, rng, reps)
+    got = simulate_paths(params, i0, r0, m, rng, reps)
+    pieces = {"C": [], "alive": [], "infected": []}
+    for k0, slab in path_slabs(params, i0, r0, m, rng, reps, times=False):
+        for name, rows in pieces.items():
+            rows.append(getattr(slab, name)[1 if k0 else 0 :].copy())
+    for name in ("T", "C", "alive", "infected"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        if name != "T":
+            assert np.array_equal(np.concatenate(pieces[name]), getattr(want, name)), name
+
+
+@pytest.mark.parametrize(
+    "i0, r0, m, reps, needle",
+    [
+        (2, -5, 10, 4, "r0 must be an integer >= 0"),
+        (2, 1.0, 10, 4, "r0 must be an integer >= 0"),
+        (2.5, 0, 10, 4, "i0 must be an integer >= 1"),
+        (0, 0, 10, 4, "i0 must be an integer >= 1"),
+        (True, 0, 10, 4, "i0 must be an integer >= 1"),
+        (2, 0, -1, 4, "m must be an integer >= 0"),
+        (2, 0, 10, -1, "replicates must be an integer >= 1"),
+        (2, 0, 10, 0, "replicates must be an integer >= 1"),
+    ],
+    ids=["r0-negative", "r0-float", "i0-float", "i0-zero", "i0-bool", "m-negative", "R-negative", "R-zero"],
+)
+def test_path_slabs_refuses_what_the_count_table_cannot_hold(i0, r0, m, reps, needle):
+    for times in (True, False):
+        with pytest.raises(ValidationError, match=needle):
+            path_slabs(SIR, i0, r0, m, RngStream(seed=1), reps, times=times)
+    with pytest.raises(ValidationError, match=needle):
+        simulate_paths(SIR, i0, r0, m, RngStream(seed=1), reps)
+
+
+def test_path_slabs_take_numpy_integers():
+    rng = RngStream(seed=1)
+    got = simulate_paths(SIR, np.int64(3), np.int32(1), np.int64(20), rng, np.int64(5))
+    want = simulate_paths(SIR, 3, 1, 20, rng, 5)
+    for name in ("T", "C", "alive", "infected"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_sim_spec_refuses_non_integer_starts():
+    with pytest.raises(ValidationError, match="i0 must be an integer >= 1"):
+        SimSpec(params=SIR, i0=2.5)
+    with pytest.raises(ValidationError, match="r0 must be an integer >= 0"):
+        SimSpec(params=SIR, i0=2, r0=0.5)
 
 
 # (params, i0, r0, max_jumps) for the ledger loop against its reference.
