@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ModelParams, RngStream, ValidationError, validate_params
+from .core import ModelParams, RngStream, ValidationError, is_integer, validate_params
 from .simulate import ColumnTotals, path_slabs
 
 # Replicates per lockstep chunk in fisher_sir_mc; chunk c uses stream
@@ -230,61 +230,74 @@ def fisher_sir_exact(params: ModelParams, i0: int, r0: int, m: int) -> FisherRep
     return _finish("sir", n, m, i0, r0, per_k, survival=survival)
 
 
-def _slab_loglik(slab, beta: float, gamma: float, a: float):
-    """Jump log-likelihood terms of the steps of a path slab as a function
-    of n' (a = p*n held fixed): row k-1 holds
+def _rate(nprime, c, i, beta: float, gamma: float, a: float):
+    """lam = (beta*s/n')*I + (a/n')*s + gamma*I with s = n' - C, the jump
+    rate under population n' (a = p*n held fixed)."""
+    s = nprime - c
+    return (beta * s / nprime) * i + (a / nprime) * s + gamma * i
 
-        log(lam) - lam*T_k  [+ log(eta) or log1p(-eta), gamma > 0]
 
-    on live rows and 0 on stopped ones, with s = n' - C_{k-1},
-    lam = (beta*s/n')*I + (a/n')*s + gamma*I and
-    eta = s(beta*I + a) / (s(beta*I + a) + (n'gamma)*I).  The n'-free
-    arrays are computed once here; each call evaluates those float
-    operations, in that order, in place in the slab's buffers and returns a
-    view that the next call overwrites.  With gamma = 0 every column has
-    the same counts, so lam and log(lam) are computed on column 0 alone and
-    broadcast."""
-    cols = slice(0, 1) if gamma == 0 else slice(None)
-    c_prev = slab.C[:-1, cols].astype(float)
-    i_prev = slab.infected[:-1, cols].astype(float)
-    dead = ~slab.alive[:-1, cols]
-    s, lam = np.empty_like(c_prev), np.empty_like(c_prev)
-    terms = np.empty(slab.T.shape)
-    if gamma > 0:
-        stepped = slab.C[1:] > slab.C[:-1]
-        gamma_i = gamma * i_prev
-        beta_i_a = beta * i_prev + a
-        num = np.empty_like(c_prev)
+def _slab_score(slab, beta: float, gamma: float, a: float, n: float, h: float):
+    """Column sums over the slab's steps of loglik(n + h) - loglik(n - h),
+    taken as one difference per term: step k contributes
 
-    def loglik(nprime):
-        np.subtract(nprime, c_prev, out=s)
+        log(lam+) - log(lam-) - (lam+ - lam-)*T_k
+            [+ log(eta+) - log(eta-) after an infection,
+             log1p(-eta+) - log1p(-eta-) after a recovery, gamma > 0]
+
+    with lam of ``_rate`` at C_{k-1}, I_{k-1} and
+    eta = s(beta*I + a) / (s(beta*I + a) + (n'gamma)*I).  Steps that take
+    no jump (T = inf) are left out, never multiplied.
+
+    With gamma = 0 every column has the same counts and every jump is an
+    infection, so the steps that jump are those whose count rises, a prefix
+    of the slab, and D = log(lam+) - log(lam-) and Delta = lam+ - lam- are
+    per row: the slab reduces to sum(D) - Delta @ T.  With gamma > 0 the
+    terms are evaluated in place over the slab and summed down its rows."""
+    if gamma == 0:
+        C = slab.C[:, 0]
+        kj = int(np.count_nonzero(C[1:] > C[:-1]))
+        c, i = C[:kj].astype(float), slab.infected[:kj, 0].astype(float)
+        hi, lo = _rate(n + h, c, i, beta, gamma, a), _rate(n - h, c, i, beta, gamma, a)
+        return np.sum(np.log(hi) - np.log(lo)) - (hi - lo) @ slab.T[:kj]
+
+    c = slab.C[:-1].astype(float)
+    i = slab.infected[:-1].astype(float)
+    recovered = slab.C[1:] == slab.C[:-1]
+    gamma_i, beta_i_a = gamma * i, beta * i + a
+    s, num = np.empty_like(c), np.empty_like(c)
+    lam_hi, lam_lo, jump_hi, jump_lo = (np.empty_like(c) for _ in range(4))
+
+    def evaluate(nprime, lam, jump):
+        """lam and the jump term at n', into lam and jump."""
+        np.subtract(nprime, c, out=s)
         np.multiply(s, beta, out=lam)
-        np.divide(lam, nprime, out=lam)
-        np.multiply(lam, i_prev, out=lam)
-        if gamma > 0:
-            np.multiply(s, beta_i_a, out=num)
-        np.multiply(s, a / nprime, out=s)
-        np.add(lam, s, out=lam)
-        if gamma > 0:
-            np.add(lam, gamma_i, out=lam)
-        # Stopped rows have T = inf and are zeroed at the end.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_lam = np.log(lam, out=s)
-            ll = np.multiply(lam, slab.T, out=terms)
-            np.subtract(log_lam, ll, out=ll)
-            if gamma > 0:
-                np.multiply(i_prev, nprime * gamma, out=lam)
-                np.add(lam, num, out=lam)
-                eta = np.divide(num, lam, out=num)
-                log_eta = np.log(eta, out=lam)
-                np.negative(eta, out=eta)
-                jump_term = np.log1p(eta, out=eta)
-                np.copyto(jump_term, log_eta, where=stepped)
-                ll += jump_term
-        np.copyto(ll, 0.0, where=dead)
-        return ll
+        lam /= nprime
+        lam *= i
+        np.multiply(s, beta_i_a, out=num)
+        lam += np.multiply(s, a / nprime, out=s)
+        lam += gamma_i
+        np.multiply(i, nprime * gamma, out=jump)
+        jump += num
+        eta = np.divide(num, jump, out=num)
+        np.log(eta, out=jump)
+        np.negative(eta, out=eta)
+        np.copyto(jump, np.log1p(eta, out=eta), where=recovered)
 
-    return loglik
+    # Stopped columns have T = inf and rates that may be 0; they are
+    # zeroed at the end.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        evaluate(n + h, lam_hi, jump_hi)
+        evaluate(n - h, lam_lo, jump_lo)
+        jump_hi -= jump_lo
+        np.subtract(lam_hi, lam_lo, out=s)
+        s *= slab.T
+        terms = np.log(lam_hi, out=lam_hi)
+        terms -= np.log(lam_lo, out=lam_lo)
+        terms -= s
+        terms += jump_hi
+    np.copyto(terms, 0.0, where=~slab.alive[:-1])
+    return terms.sum(axis=0)
 
 
 def score_variance_oracle(
@@ -299,10 +312,16 @@ def score_variance_oracle(
 ) -> tuple[float, float]:
     """Fisher information as the variance of a central-difference score.
 
-    Simulates observation sets at the true parameters, evaluates the exact
-    jump log-likelihood at n + h and n - h (a = p*n held fixed, so the
-    innovation term is a (n' - C)/n'), and returns (variance of the
-    difference quotient, standard error of that variance estimate).
+    Simulates observation sets at the true parameters, takes the
+    difference of the exact jump log-likelihood at n + h and n - h term by
+    term (a = p*n held fixed, so the innovation term is a (n' - C)/n'; see
+    ``_slab_score``), and returns (variance of the difference quotient,
+    standard error of that variance estimate).  Chunk c of at most
+    ``chunk`` replicates is simulated on ``rng.substream(1000 + c)``.
+
+    ``replicates`` >= 2, and h (default 1e-4 n) must be finite with
+    0 < h < n - (i0 + r0 + m), so that both n + h and n - h exceed every
+    count the paths can reach; anything else is a ValidationError.
 
     This route never touches the closed-form information sums, so it
     serves as their independent check.
@@ -310,22 +329,23 @@ def score_variance_oracle(
     validate_params(params)
     n = params.n
     beta, gamma, a = params.beta, params.gamma, params.a
+    if not is_integer(replicates) or replicates < 2:
+        raise ValidationError("replicates must be an integer >= 2")
     if h is None:
         h = 1e-4 * n
+    room = n - (i0 + r0 + m)
+    if not (math.isfinite(h) and 0 < h < room):
+        raise ValidationError(f"h must be finite with 0 < h < n - (i0 + r0 + m) = {room:g}, got {h!r}")
 
     scores = []
     done = 0
     n_chunks = 0
     while done < replicates:
         r = min(chunk, replicates - done)
-        # A column's log-likelihood is the sum of its per-row terms.
-        hi, lo = ColumnTotals(m, r), ColumnTotals(m, r)
+        diff = np.zeros(r)
         for _, slab in path_slabs(params, i0, r0, m, rng.substream(1000 + n_chunks), r):
-            loglik = _slab_loglik(slab, beta, gamma, a)
-            hi.add(loglik(n + h))
-            lo.add(loglik(n - h))
-        score = (hi.total() - lo.total()) / (2.0 * h)
-        scores.append(score)
+            diff += _slab_score(slab, beta, gamma, a, n, h)
+        scores.append(diff / (2.0 * h))
         done += r
         n_chunks += 1
 

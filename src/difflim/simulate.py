@@ -112,15 +112,16 @@ def simulate_batch(spec: SimSpec, replicates: int) -> list[JumpLedger]:
 # estimation Monte-Carlo machinery, where only (T_k, C_k) paths are needed.
 # Per step all replicates draw a holding time, then a jump type, so the
 # consumed stream is a fixed function of (seed, stream) alone.  The
-# uniforms are drawn in (K, 2, R) blocks: block[j, 0] and block[j, 1] are
+# uniforms are drawn in blocks of K steps: block[j, 0] and block[j, 1] are
 # the same draws as two successive random(R) calls for step k0 + j.  Each
 # block becomes one slab of K rows, handed to the consumer before the next
 # block is drawn, so a reduction over rows never holds more than K rows.
 # A uniform that no one reads keeps its place in the stream but is jumped
-# over by Philox counter arithmetic (``_skip``) instead of being drawn.
+# over by Philox counter arithmetic (``_skip``) instead of being drawn, and
+# takes no room in the block.
 # ---------------------------------------------------------------------------
 
-# At most this many uniforms per (K, 2, R) block, i.e. 512 KB of doubles.
+# At most this many drawn uniforms per block, i.e. 512 KB of doubles.
 _BLOCK_DOUBLES = 1 << 16
 
 # Jumping over an unread row takes two more Python calls per step (the read
@@ -146,7 +147,9 @@ class PathBlock:
 
     A slab from ``path_slabs`` is a PathBlock of the rows after k0 jumps:
     T[j] is the (k0 + j + 1)-th holding time and C[j] the count after
-    k0 + j jumps; T is None when the holding times were not asked for."""
+    k0 + j jumps; T is None when the holding times were not asked for.
+    With gamma = 0 a slab's C, alive and infected are read-only views
+    that broadcast one path's rows across the columns."""
 
     T: Optional[np.ndarray]
     C: np.ndarray
@@ -227,7 +230,8 @@ def path_slabs(
     k0..k1-1), in order, covering rows 0..m; with m = 0 it is row 0 alone.
     The slabs are views of buffers that the next slab overwrites, so a
     consumer reads each one without writing to it and reduces or copies it
-    before asking for the next.
+    before asking for the next.  A slab spans at most one block of uniforms,
+    as many steps as draw 2^16 doubles (``_block_steps``).
 
     Step k of every column takes the rate (beta*S/N)*I + p*S + gamma*I
     and the infection probability from the same float expressions, in the
@@ -238,7 +242,8 @@ def path_slabs(
     steps into a table over (step, count), and each step looks its columns'
     probabilities up by C: no draw and no bit of the output changes.  With
     gamma = 0 the counts are deterministic, so they are stepped once for
-    all columns and only the holding times are drawn per column.  Once no
+    all columns, C, alive and infected are read-only broadcast views of
+    that one path, and only the holding times are drawn per column.  Once no
     column can jump, the frozen rows that remain are handed out without
     drawing.
 
@@ -260,7 +265,11 @@ def path_slabs(
 
 
 def _slabs(params, n, i0, r0, m, rng, R, times):
-    K = max(1, _BLOCK_DOUBLES // max(2 * R, 1))
+    if params.gamma == 0:
+        yield from _pure_adoption_slabs(params, n, i0, r0, m, rng.generator(), R, times)
+        return
+    read = (0, 1) if times else (1,)
+    K = _block_steps(R, read)
     rows = min(K, m)
     buf = PathBlock(
         T=np.empty((rows, R)) if times else None,
@@ -276,8 +285,8 @@ def _slabs(params, n, i0, r0, m, rng, R, times):
         yield 0, buf
         return
 
-    kernel = _pure_adoption_slabs if params.gamma == 0 else _lockstep_slabs
-    steps = yield from kernel(params, n, i0, r0, m, rng.generator(), buf)
+    blocks = _uniform_blocks(rng.generator(), m, R, K, read)
+    steps = yield from _lockstep_slabs(params, n, i0, r0, m, blocks, buf)
     # Row 0 of the buffer now holds the state after the last simulated
     # step; no column can jump from it, so the remaining rows repeat it.
     if times:
@@ -319,33 +328,48 @@ def _skip(bitgen: np.random.Philox, drawn: int, q: int) -> None:
     bitgen.random_raw(q % 4)
 
 
+def _skips(R: int, read: tuple) -> bool:
+    """Whether the uniform that is not read is skipped rather than drawn."""
+    return len(read) == 1 and R >= _SKIP_MIN_R
+
+
+def _block_steps(R: int, read: tuple) -> int:
+    """Steps per uniform block: as many as draw at most _BLOCK_DOUBLES
+    doubles, R per step when the unread uniform is skipped and 2R
+    otherwise (at least one step)."""
+    return max(1, _BLOCK_DOUBLES // (R if _skips(R, read) else 2 * R))
+
+
 def _uniform_blocks(gen: np.random.Generator, m: int, R: int, K: int, read: tuple):
-    """Yield (k0, U) with U of shape (K, 2, R): U[j, 0] is the holding-time
-    and U[j, 1] the jump-type uniform of step k0 + j + 1.  U is one reused
-    buffer, overwritten by the next block; a consumer that stops early
-    leaves the rest of the stream undrawn.
+    """Yield (k0, (u_time, u_kind)) per block of at most K steps: row j of
+    u_time is the holding-time and of u_kind the jump-type uniform of step
+    k0 + j + 1, each a (kb, R) view of one reused buffer that the next
+    block overwrites; a consumer that stops early leaves the rest of the
+    stream undrawn.  Drawn together, the two are the planes of one
+    (kb, 2, R) draw, the stream of two random(R) calls per step.
 
     ``read`` names the uniforms the consumer reads.  If it reads only one
-    and R >= _SKIP_MIN_R, each step's read row is drawn on its own and the
-    other row is skipped (``_skip``), left holding stale values; every
-    read row has the bits of the block draw."""
-    buf = np.empty((min(K, m), 2, R))
-    skip = len(read) == 1 and R >= _SKIP_MIN_R
+    and R >= _SKIP_MIN_R, each step's read row is drawn on its own with the
+    bits of the block draw, the other is skipped (``_skip``) and handed out
+    as None, and the buffer holds the read rows alone."""
+    skip = _skips(R, read)
     bitgen = gen.bit_generator
+    buf = np.empty((min(K, m), R) if skip else (min(K, m), 2, R))
     for k0 in range(0, m, K):
         u = buf[: min(K, m - k0)]
         if not skip:
             gen.random(out=u)
-        else:
-            (x,) = read
-            for j, row in enumerate(u[:, x]):
-                drawn = 2 * R * (k0 + j)  # doubles before step k0 + j + 1
-                if x == 1:
-                    _skip(bitgen, drawn, R)
-                gen.random(out=row)
-                if x == 0:
-                    _skip(bitgen, drawn + R, R)
-        yield k0, u
+            yield k0, (u[:, 0], u[:, 1])
+            continue
+        (x,) = read
+        for j, row in enumerate(u):
+            drawn = 2 * R * (k0 + j)  # doubles before step k0 + j + 1
+            if x == 1:
+                _skip(bitgen, drawn, R)
+            gen.random(out=row)
+            if x == 0:
+                _skip(bitgen, drawn + R, R)
+        yield k0, (u, None) if x == 0 else (None, u)
 
 
 def _exp_holding_numerators(u_time: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -358,14 +382,16 @@ def _exp_holding_numerators(u_time: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pure_adoption_slabs(params, n, i0, r0, m, gen, buf):
+def _pure_adoption_slabs(params, n, i0, r0, m, gen, R, times):
     """gamma = 0: the infection probability is num / (num + 0) = num / num,
     exactly 1 (above every uniform in [0, 1)) unless num is 0 or inf, where
     it is NaN (below none).  So every column follows one count path, stepped
-    here in scalar floats with the lockstep expressions, and the holding
-    times are -log1p(-u) / lam_k written block by block.  The jump-type
-    uniforms are never read, and without T no uniform is.  Returns the
-    number of jumps on the path."""
+    here in scalar floats with the lockstep expressions, and each slab's C,
+    alive and infected are read-only broadcast views of that path; only the
+    holding times -log1p(-u) / lam_k are per column, written block by block
+    into one reused buffer.  The jump-type uniforms are never read, and
+    without T no uniform is.  Once the path stops, the remaining rows repeat
+    its last state with T = inf and are handed out without drawing."""
     beta, gamma, p = params.beta, params.gamma, params.p
     s, i, rr = n - i0 - r0, float(i0), float(r0)
     live = 0 < i < n
@@ -373,6 +399,7 @@ def _pure_adoption_slabs(params, n, i0, r0, m, gen, buf):
     counts = np.empty(m + 1, dtype=np.int64)
     alive = np.empty(m + 1, dtype=bool)
     infected = np.empty(m + 1, dtype=np.int64)
+    counts[0], alive[0], infected[0] = int(i0 + r0), live, int(i0) if live else 0
     steps = 0
     for k in range(1, m + 1):
         rate = (beta * s / n) * i + p * s + gamma * i
@@ -389,25 +416,37 @@ def _pure_adoption_slabs(params, n, i0, r0, m, gen, buf):
         alive[k] = live
         infected[k] = int(i) if live else 0
         steps = k
-    K, R = buf.C.shape[0] - 1, buf.C.shape[1]
-    if buf.T is not None:
-        blocks = _uniform_blocks(gen, steps, R, K, read=(0,))
+    for path in (counts, alive, infected):
+        path[steps + 1 :] = path[steps]
+    C, alive, infected = (np.broadcast_to(path[:, None], (m + 1, R)) for path in (counts, alive, infected))
+    read = (0,) if times else ()
+    K = _block_steps(R, read)
+    rows = min(K, m)
+    T = np.empty((rows, R)) if times else None
+
+    def slab(k0, kb):
+        ks = slice(k0, k0 + kb + 1)
+        return PathBlock(T=None if T is None else T[:kb], C=C[ks], alive=alive[ks], infected=infected[ks])
+
+    if m == 0:
+        yield 0, slab(0, 0)
+        return
+    if times:
+        blocks = _uniform_blocks(gen, steps, R, K, read)
     for k0 in range(0, steps, K):
         kb = min(K, steps - k0)
-        if buf.T is not None:
-            _, u = next(blocks)
-            t = _exp_holding_numerators(u[:, 0], buf.T[:kb])
+        if times:
+            _, (u_time, _) = next(blocks)
+            t = _exp_holding_numerators(u_time, T[:kb])
             t /= lam[k0 : k0 + kb, None]
-        after = slice(k0 + 1, k0 + kb + 1)
-        buf.C[1 : kb + 1] = counts[after, None]
-        buf.alive[1 : kb + 1] = alive[after, None]
-        buf.infected[1 : kb + 1] = infected[after, None]
-        yield k0, _head(buf, kb)
-        _carry(buf, kb)
-    return steps
+        yield k0, slab(k0, kb)
+    if times:
+        T.fill(np.inf)
+    for k0 in range(steps, m, rows):
+        yield k0, slab(k0, min(rows, m - k0))
 
 
-def _lockstep_slabs(params, n, i0, r0, m, gen, buf):
+def _lockstep_slabs(params, n, i0, r0, m, blocks, buf):
     """gamma > 0: each column is stepped through its count C alone.  Until
     it stops, a column has after k jumps S = n - C (the float S of C - c0
     unit decrements from n - c0, c0 = i0 + r0) and I = 2C - k - i0 - 2 r0,
@@ -423,15 +462,14 @@ def _lockstep_slabs(params, n, i0, r0, m, gen, buf):
     T, C, alive, infected = buf.T, buf.C, buf.alive, buf.infected
     K, R = C.shape[0] - 1, C.shape[1]
     times, track = T is not None, i0 + r0 + m >= n
-    blocks = _uniform_blocks(gen, m, R, K, read=(0, 1) if times else (1,))
     pn, ngamma, c0, base, span = p * n, n * gamma, i0 + r0, i0 + 2 * r0, min(K, _SPAN)
     s_of = np.subtract.accumulate(np.r_[n - i0 - r0, np.ones(m)])  # S at count c0 + u
     prob, up, flag = np.empty(R), np.empty(R, dtype=bool), np.empty(R, dtype=bool)
     e, at = np.empty((K, R)), np.empty((span, R), dtype=np.int64)
     ok = np.repeat(alive[:1], K + 1, axis=0)  # ok[j + 1]: step k0 + j + 1 taken (tracked)
     taken, tables, steps = np.zeros(R, dtype=np.int64), np.empty((4, 0)), 0  # jumps before the block
-    for k0, u in blocks:
-        kb = len(u)
+    for k0, (u_time, u_kind) in blocks:
+        kb = len(u_kind)
         if not alive[0].any():
             break
         # The errstate is entered and left within the block, never across
@@ -471,7 +509,7 @@ def _lockstep_slabs(params, n, i0, r0, m, gen, buf):
                 x[0] -= lo - 1
                 for j in range(rows):
                     P[j].take(x[j], out=prob, mode="clip")
-                    np.less(u[t0 + j, 1], prob, out=up)
+                    np.less(u_kind[t0 + j], prob, out=up)
                     if track:
                         np.greater(ok[t0 + j], np.isnan(prob, out=flag), out=ok[t0 + j + 1])
                         up &= ok[t0 + j + 1]
@@ -482,16 +520,21 @@ def _lockstep_slabs(params, n, i0, r0, m, gen, buf):
                     lam.take(at[:rows], out=T[t0 : t0 + rows], mode="clip")
                 x += lo - 1
             # I = 2C - (jumps taken) - i0 - 2 r0; the steps taken are a prefix.
-            took = ok[1 : kb + 1].sum(axis=0) if track else kb
             I = np.multiply(C[1 : kb + 1], 2, out=infected[1 : kb + 1])
-            I -= np.minimum(np.arange(1, kb + 1)[:, None], took) + (taken + base)
-            taken += took
-            ok[0] = ok[kb]
-            np.greater(I, 0, out=alive[1 : kb + 1])
-            alive[1 : kb + 1] &= I < n
+            if track:
+                took = ok[1 : kb + 1].sum(axis=0)
+                I -= np.minimum(np.arange(1, kb + 1)[:, None], took) + (taken + base)
+                taken += took
+                ok[0] = ok[kb]
+                np.greater(I, 0, out=alive[1 : kb + 1])
+                alive[1 : kb + 1] &= I < n
+            else:
+                # Every step is taken, and I <= C < n: only I > 0 can fail.
+                I -= np.arange(k0 + 1 + base, k0 + kb + 1 + base)[:, None]
+                np.greater(I, 0, out=alive[1 : kb + 1])
             I *= alive[1 : kb + 1]
             if times:
-                np.divide(_exp_holding_numerators(u[:, 0], e[:kb]), T[:kb], out=T[:kb])
+                np.divide(_exp_holding_numerators(u_time, e[:kb]), T[:kb], out=T[:kb])
                 np.copyto(T[:kb], np.inf, where=~(ok[1 : kb + 1] if track else alive[:kb]))
         steps = k0 + kb
         yield k0, _head(buf, kb)

@@ -11,7 +11,11 @@ production code against:
   ``difflim.simulate.simulate_paths`` replaced.  Each step draws random(R)
   twice and rebuilds the state through np.where temporaries.
 - ``reference_score_variance_oracle``: ``difflim.fisher.score_variance_oracle``
-  before it computed the n'-free terms once per block.
+  before it computed the n'-free terms once per block, and before it took
+  one difference per term: it sums loglik(n + h) and loglik(n - h) apart.
+- ``fsum_score_variance_oracle``: the oracle's own per-element difference
+  terms, summed exactly by ``math.fsum`` per replicate; the accuracy
+  reference for the oracle's sums.
 - ``reference_fisher_sir_mc``, ``reference_dominance_study`` and
   ``reference_coverage_study``: ``difflim.fisher.fisher_sir_mc`` and the
   Dominance and Coverage studies as they were before they reduced the
@@ -214,6 +218,38 @@ def reference_score_variance_oracle(params, i0, r0, m, replicates, rng, h=None, 
     centered = scores - scores.mean()
     mu4 = float(np.mean(centered ** 4))
     var_of_var = max(mu4 - j_est ** 2, 0.0) / len(scores)
+    return j_est, math.sqrt(var_of_var)
+
+
+def fsum_score_variance_oracle(params, i0, r0, m, replicates, rng, h=None):
+    """One chunk of ``score_variance_oracle`` with each replicate's score
+    the exact sum of its per-step terms log(lam+) - log(lam-) -
+    (lam+ - lam-) T [+ the jump-term difference, gamma > 0] over its live
+    steps."""
+    n, beta, gamma, a = params.n, params.beta, params.gamma, params.a
+    if h is None:
+        h = 1e-4 * n
+    block = simulate_paths(params, i0, r0, m, rng.substream(1000), replicates)
+    c, i = block.C[:-1].astype(float), block.infected[:-1].astype(float)
+    recovered = block.C[1:] == block.C[:-1]
+
+    def parts(nprime):
+        s = nprime - c
+        lam = (beta * s / nprime) * i + (a / nprime) * s + gamma * i
+        num = s * (beta * i + a)
+        eta = num / (num + nprime * gamma * i)
+        return lam, np.where(recovered, np.log1p(-eta), np.log(eta))
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        (lam_hi, jump_hi), (lam_lo, jump_lo) = parts(n + h), parts(n - h)
+        terms = np.log(lam_hi) - np.log(lam_lo) - (lam_hi - lam_lo) * block.T
+        if gamma > 0:
+            terms = terms + (jump_hi - jump_lo)
+    live = block.alive[:-1] & np.isfinite(block.T)
+    scores = np.array([math.fsum(terms[live[:, r], r]) for r in range(replicates)]) / (2.0 * h)
+    j_est = float(np.var(scores, ddof=1))
+    centered = scores - scores.mean()
+    var_of_var = max(float(np.mean(centered ** 4)) - j_est ** 2, 0.0) / replicates
     return j_est, math.sqrt(var_of_var)
 
 

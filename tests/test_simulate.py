@@ -340,7 +340,7 @@ def test_path_slabs_concatenate_to_the_block(case):
     block simulate_paths collects."""
     params, i0, r0, m, reps = PARITY_CASES[case]
     rng = RngStream(seed=7, stream_id=3)
-    K = max(1, simulate._BLOCK_DOUBLES // (2 * reps))
+    K = simulate._block_steps(reps, (0,) if params.gamma == 0 else (0, 1))
     pieces = {"T": [], "C": [], "alive": [], "infected": []}
     end = 0
     for k0, slab in path_slabs(params, i0, r0, m, rng, reps):
@@ -361,6 +361,55 @@ def test_path_slabs_concatenate_to_the_block(case):
         for block in (want, collected):
             other = getattr(block, name)
             assert rows.dtype == other.dtype and np.array_equal(rows, other), name
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["case-R", "R-above-skip"])
+@pytest.mark.parametrize("case", sorted(c for c, v in PARITY_CASES.items() if v[0].gamma == 0))
+def test_gamma_zero_slabs_are_read_only_views_of_one_path(case, wide):
+    """With gamma = 0 every slab's C, alive and infected are read-only
+    views of one path, broadcast across the columns; with or without holding
+    times they stack to the reference loop's block, and the block that
+    simulate_paths returns owns writable arrays."""
+    params, i0, r0, m, reps = PARITY_CASES[case]
+    if wide:
+        reps = max(reps, simulate._SKIP_MIN_R + 1)
+    rng = RngStream(seed=7, stream_id=3)
+    want = reference_simulate_paths(params, i0, r0, m, rng, reps)
+    for times in (True, False):
+        pieces = {"C": [], "alive": [], "infected": []}
+        for k0, slab in path_slabs(params, i0, r0, m, rng, reps, times=times):
+            for name, rows in pieces.items():
+                view = getattr(slab, name)
+                assert not view.flags.writeable and view.strides[1] == 0, name
+                rows.append(view[1 if k0 else 0 :])
+        for name, rows in pieces.items():
+            assert np.array_equal(np.concatenate(rows), getattr(want, name)), name
+    got = simulate_paths(params, i0, r0, m, rng, reps)
+    for name in ("T", "C", "alive", "infected"):
+        a = getattr(got, name)
+        assert a.flags.writeable and a.flags.owndata and np.array_equal(a, getattr(want, name)), name
+
+
+@pytest.mark.parametrize(
+    "gamma, times, R, K",
+    [
+        # One uniform read and the other skipped: R doubles per step.
+        (0.0, True, 20_000, 3),
+        (0.25, False, 2000, 32),
+        (0.0, True, simulate._SKIP_MIN_R, 64),
+        (0.25, False, 40_000, 1),
+        # Both read, or one read below the skip threshold: 2R per step.
+        (0.25, True, 2000, 16),
+        (0.0, True, simulate._SKIP_MIN_R - 1, 32),
+    ],
+)
+def test_blocks_hold_at_most_2_16_drawn_doubles(gamma, times, R, K):
+    """A slab spans one block of uniforms, as many steps as draw at most
+    2^16 doubles; a skipped uniform takes no room."""
+    params = ModelParams(n=1e6, beta=0.5, gamma=gamma, p=0.0 if gamma else 1e-6)
+    m = 2 * K + 1
+    sizes = [slab.m for _, slab in path_slabs(params, 100, 0, m, RngStream(seed=1), R, times=times)]
+    assert sizes == [K, K, 1]
 
 
 @pytest.mark.parametrize("R", [1, 2, 7, 300])
